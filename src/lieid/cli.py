@@ -30,6 +30,9 @@ from .lie_core import (
 __all__ = ["main"]
 
 ENV_MAX_DEGREE = "LIEID_MAX_DEGREE"
+# Multidegrees print densely, one entry per index from x1 up to the largest
+# index, so the largest index is bounded to keep the output bounded.
+MAX_PRINTED_INDEX = 100_000
 LEMMA_NAMES = ("L1e2", "LFid", "LF", "LFid2", "L9mine", "Lfact2", "Lmultlin",
                "theorem")
 
@@ -51,6 +54,9 @@ def _parse_multidegree(text: str) -> MultiDeg:
 
 def _format_multidegree(md: MultiDeg) -> str:
     top = max(md.indices())
+    if top > MAX_PRINTED_INDEX:
+        raise ValueError(f"variable index {top} is too large: multidegrees are"
+                         f" printed for indices up to {MAX_PRINTED_INDEX}")
     return ",".join(str(md[i]) for i in range(1, top + 1))
 
 
@@ -61,6 +67,11 @@ def _split_components(p: LiePoly) -> list[tuple[MultiDeg, LiePoly]]:
     out = [(md, LiePoly.from_monomials(ms)) for md, ms in groups.items()]
     out.sort(key=lambda item: (item[0].total, item[0].items()))
     return out
+
+
+def _check_max_total_degree(value: int) -> None:
+    if value < 1:
+        raise ValueError(f"--max-total-degree must be at least 1, got {value}")
 
 
 def _basis_printout(md: MultiDeg, space) -> list[str]:
@@ -124,6 +135,7 @@ def cmd_consequences(args) -> tuple[dict, bool]:
 
 
 def cmd_check_theorem(args) -> tuple[dict, bool]:
+    _check_max_total_degree(args.max_total_degree)
     results = []
     ok = True
     for md in tideal.canonical_multidegrees(1, args.max_total_degree):
@@ -292,6 +304,7 @@ def _checks_theorem(max_total: int) -> tuple[dict, bool]:
 
 
 def cmd_lemmas(args) -> tuple[dict, bool]:
+    _check_max_total_degree(args.max_total_degree)
     suites: dict[str, Callable[[], tuple[dict, bool]]] = {
         "L1e2": _checks_base_identities,
         "LFid": _checks_tail_rewriting,

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from .lie_core import LieMonomial, LiePoly, leaf, left_norm
 
-__all__ = ["ParseError", "parse", "format_poly", "format_monomial"]
+__all__ = ["ParseError", "parse", "format_poly", "format_monomial", "MAX_NESTING"]
+
+# Deeper parentheses are rejected rather than parsed: the parser and the
+# tree walks downstream recurse once per level.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -70,6 +74,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -103,8 +108,14 @@ class _Parser:
                 self.advance()
                 factors.append(leaf(value))
             elif kind == _LPAREN:
+                if self.depth == MAX_NESTING:
+                    raise ParseError(
+                        f"parentheses nested deeper than {MAX_NESTING} levels",
+                        pos)
                 self.advance()
+                self.depth += 1
                 inner = self.term()
+                self.depth -= 1
                 kind2, _, pos2 = self.advance()
                 if kind2 != _RPAREN:
                     raise ParseError("expected ')'", pos2)

@@ -13,6 +13,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 __all__ = [
     "WordIndex",
     "GF2Subspace",
+    "Echelon",
     "span",
     "contains",
     "equal",
@@ -83,14 +84,21 @@ class WordIndex:
         return f"WordIndex(size={self.size})"
 
 
-class _Echelon:
-    """Mutable RREF accumulator: rows sorted by pivot, fully back-reduced."""
+class Echelon:
+    """Mutable RREF accumulator over an index: rows sorted by pivot, fully
+    back-reduced.  ``insert`` refuses a vector that does not fit the index."""
 
-    __slots__ = ("pivots", "rows")
+    __slots__ = ("index", "pivots", "rows", "_limit")
 
-    def __init__(self):
+    def __init__(self, index: WordIndex):
+        self.index = index
         self.pivots: list[int] = []
         self.rows: list[int] = []
+        self._limit = 1 << index.size
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     def reduce(self, v: int) -> int:
         for p, row in zip(self.pivots, self.rows):
@@ -100,6 +108,8 @@ class _Echelon:
 
     def insert(self, v: int) -> bool:
         """Reduce v and add it to the basis; False when already in the span."""
+        if v < 0 or v >= self._limit:
+            raise ValueError("vector does not fit the index length")
         v = self.reduce(v)
         if not v:
             return False
@@ -114,12 +124,13 @@ class _Echelon:
 
 
 class GF2Subspace:
-    """Immutable subspace with a reduced row-echelon basis."""
+    """Immutable subspace with a reduced row-echelon basis: a frozen copy of
+    the span an ``Echelon`` has reached."""
 
     __slots__ = ("index", "rows", "pivots")
 
-    def __init__(self, index: WordIndex, ech: _Echelon):
-        self.index = index
+    def __init__(self, ech: Echelon):
+        self.index = ech.index
         self.rows = tuple(ech.rows)
         self.pivots = tuple(ech.pivots)
 
@@ -162,13 +173,10 @@ class GF2Subspace:
 
 def span(index: WordIndex, vectors: Iterable[int]) -> GF2Subspace:
     """Reduced row-echelon basis of the span of the given bitset vectors."""
-    limit = 1 << index.size
-    ech = _Echelon()
+    ech = Echelon(index)
     for v in vectors:
-        if v < 0 or v >= limit:
-            raise ValueError("vector does not fit the index length")
         ech.insert(v)
-    return GF2Subspace(index, ech)
+    return GF2Subspace(ech)
 
 
 def contains(s: GF2Subspace, v: int) -> bool:
@@ -194,11 +202,8 @@ def kernel(index: WordIndex, rows: Iterable[int]) -> GF2Subspace:
     must vanish.  The result is the RREF basis of all solutions.
     """
     width = index.size
-    limit = 1 << width
-    ech = _Echelon()
+    ech = Echelon(index)
     for r in rows:
-        if r < 0 or r >= limit:
-            raise ValueError("constraint row does not fit the index length")
         ech.insert(r)
     pivot_set = set(ech.pivots)
     free_cols = [c for c in range(width) if c not in pivot_set]

@@ -406,8 +406,7 @@ def bracket(p: PolyLike, q: PolyLike) -> LiePoly:
 # Expansions of fully left-normalized monomials are shared heavily across
 # component and consequence-span construction, so they are cached; other
 # bracket shapes are typically evaluated once and are recomputed to keep the
-# cache bounded.  Plain dict assignment is atomic under the GIL, so the cache
-# behaves as a concurrent-read, atomically-inserted map.
+# cache bounded.
 _EXPAND_CACHE: dict[LieMonomial, AssocPoly] = {}
 
 

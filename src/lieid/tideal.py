@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .expr import ParseError, parse
-from .gf2linalg import GF2Subspace, WordIndex, kernel, solve_in_span, span
-from .eval_gl2 import Evaluator, generic_matrix
+from .gf2linalg import (
+    Echelon,
+    GF2Subspace,
+    WordIndex,
+    kernel,
+    solve_in_span,
+    span,
+)
+from .eval_gl2 import Evaluator, generic_matrix, is_identity_gl2
 from .lie_core import (
     LieMonomial,
     LiePoly,
@@ -187,7 +194,9 @@ class Component:
     """A multidegree-graded piece of the free Lie algebra.
 
     ``monomials[i]`` is the left-normalized monomial on ``index.labels[i]``;
-    ``vectors[i]`` is its expansion in the shared frame.
+    ``vectors[i]`` is its expansion in the shared frame.  ``basis`` is the
+    greedily independent subset of ``monomials``, in order: a basis of the
+    component.
     """
 
     multidegree: MultiDeg
@@ -195,6 +204,7 @@ class Component:
     monomials: tuple[LieMonomial, ...]
     vectors: tuple[int, ...]
     space: GF2Subspace
+    basis: tuple[LieMonomial, ...]
 
     @property
     def dim(self) -> int:
@@ -211,7 +221,9 @@ def component(md: MultiDeg) -> Component:
     idx = word_index(md)
     monos = monomials_of(md)
     vectors = tuple(expansion_vector(idx, m) for m in monos)
-    comp = Component(md, idx, monos, vectors, span(idx, vectors))
+    ech = Echelon(idx)
+    basis = tuple(m for m, v in zip(monos, vectors) if ech.insert(v))
+    comp = Component(md, idx, monos, vectors, GF2Subspace(ech), basis)
     _COMPONENT_CACHE[md] = comp
     return comp
 
@@ -290,13 +302,17 @@ def _tail_step(words: Iterable[tuple[int, ...]], letter: int) -> set[tuple[int, 
 
 
 def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]:
-    """Expansion vectors of all multidegree-md elements of the form
-    L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the w's left-normalized
-    monomials and the l's letters.
+    """Expansion vectors of multidegree-md elements of the form
+    L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
+    same space as all such elements with the w's left-normalized monomials.
 
     Letter tails generate the same span as arbitrary monomial tails: the
     bracket with a compound monomial rewrites, via the Jacobi identity, as a
     sum of iterated brackets with its letters.
+
+    A slot in which L is linear takes only a basis of the component, since
+    the instance is linear in that slot; a repeated slot takes every
+    left-normalized monomial.
     """
     slots = L.multidegree().items()
     n_slots = len(slots)
@@ -334,7 +350,8 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
             if remaining.total - d * mu.total < suffix_min[k + 1]:
                 continue
             rest = remaining - mu.scaled(d)
-            for w in monomials_of(mu):
+            fillers = component(mu).basis if d == 1 else monomials_of(mu)
+            for w in fillers:
                 assignment[v] = w
                 yield from rec(k + 1, rest)
         assignment.pop(v, None)
@@ -342,11 +359,25 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
     return rec(0, md)
 
 
-def consequences(gens: GeneratorSet, md: MultiDeg) -> GF2Subspace:
+def consequences(gens: GeneratorSet, md: MultiDeg, *,
+                 within: Optional[GF2Subspace] = None) -> GF2Subspace:
     """The md-component of the T-ideal generated by the set.
 
     Only generators of total degree at most total(md) can contribute, so the
-    finite enumeration is exact rather than a truncation.
+    finite enumeration is exact rather than a truncation.  Generators are
+    enumerated highest total degree first; the result is an RREF basis,
+    which is canonical, so the order changes no output.
+
+    A slot in which the form is linear takes only a basis of its component
+    rather than every left-normalized monomial.  This is exact: a monomial
+    is a sum of basis elements, and the instance is linear in that slot, so
+    it is the sum of the instances at those basis elements.  Repeated slots
+    take every monomial.
+
+    ``within`` is a rank target for a caller that has proved the span lies
+    inside it.  Enumeration then stops once the rank reaches ``within.dim``:
+    a subspace of ``within`` of the same dimension is ``within`` itself, so
+    the partial span is already the whole consequence span.
     """
     check_degree_cap(md.total)
     key = (gens, md)
@@ -354,9 +385,24 @@ def consequences(gens: GeneratorSet, md: MultiDeg) -> GF2Subspace:
     if got is not None:
         return got
     idx = word_index(md)
-    seen: set[int] = set()
-    vectors: list[int] = []
-    for gen in gens.generators:
+    ech = Echelon(idx)
+    target = within.dim if within is not None else -1
+    if target != 0:
+        for vec in _consequence_vectors(gens, md, idx):
+            if ech.insert(vec) and ech.dim == target:
+                break
+    result = GF2Subspace(ech)
+    if within is not None and result.dim == within.dim and result != within:
+        raise ValueError("the consequence span does not lie inside `within`")
+    _CONSEQ_CACHE[key] = result
+    return result
+
+
+def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
+                         idx: WordIndex) -> Iterator[int]:
+    """Instance vectors spanning the consequences, highest degree first."""
+    ordered = sorted(gens.generators, key=lambda g: -g.total_degree)
+    for gen in ordered:
         if gen.total_degree > md.total:
             continue
         if gens.polarize_closure:
@@ -364,13 +410,7 @@ def consequences(gens: GeneratorSet, md: MultiDeg) -> GF2Subspace:
         else:
             forms = (_canonical_variables(gen.poly),)
         for L in forms:
-            for vec in _instance_vectors(L, md, idx):
-                if vec and vec not in seen:
-                    seen.add(vec)
-                    vectors.append(vec)
-    result = span(idx, vectors)
-    _CONSEQ_CACHE[key] = result
-    return result
+            yield from _instance_vectors(L, md, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +497,25 @@ class GenerationReport:
 
 def check_generation(md: MultiDeg, maxgen: Optional[int] = None) -> GenerationReport:
     """Compare the consequence span of the candidate generating set with the
-    identity space at one multidegree."""
+    identity space at one multidegree.
+
+    When every generator that can contribute at md is a gl2 identity, the
+    T-ideal they generate lies in the T-ideal of gl2 identities: the latter
+    is closed under substitution and, over an infinite field, under taking
+    multihomogeneous components, hence under partial linearization.  So the
+    consequences lie inside the identities, and their enumeration stops at
+    the rank of the identity space.  If some generator is not an identity,
+    the consequences are enumerated in full.
+    """
     if maxgen is None:
         maxgen = max(md.total, 4)
     if maxgen < md.total:
         raise ValueError(f"maxgen={maxgen} is below the total degree {md.total}")
-    cons = consequences(theorem_generators(maxgen), md)
+    gens = theorem_generators(maxgen)
     ids = identities(md)
+    contributing = (g for g in gens.generators if g.total_degree <= md.total)
+    within = ids if all(is_identity_gl2(g.poly) for g in contributing) else None
+    cons = consequences(gens, md, within=within)
     return GenerationReport(md, cons.dim, ids.dim, cons == ids)
 
 

@@ -101,3 +101,80 @@ def is_identity_multilinear(p, n) -> bool:
 def distinct_permutations(items):
     """All distinct orderings of a multiset, via brute-force dedup."""
     return sorted(set(itertools.permutations(items)))
+
+
+# --- consequence spans by brute-force substitution -------------------------
+
+def _linearizations(p):
+    """p and its iterated partial linearizations, over every ordered split
+    of every repeated variable, by breadth-first search."""
+    from lieid.lie_core import is_zero, polarize
+
+    out = []
+    queue = [p]
+    while queue:
+        q = queue.pop(0)
+        if q.is_formal_zero() or is_zero(q) or q in out:
+            continue
+        out.append(q)
+        md = q.multidegree()
+        top = max(md.indices())
+        for v, d in md.items():
+            for k in range(2, d + 1):
+                fresh = list(range(top + 1, top + k + 1))
+                for mults in itertools.product(range(1, d), repeat=k):
+                    if sum(mults) == d:
+                        queue.append(polarize(q, v, fresh,
+                                              dict(zip(fresh, mults))))
+    return out
+
+
+def _submultisets(counts):
+    """Every sub-multiset of a {letter: count} dict, as a dict."""
+    letters = sorted(counts)
+    for mults in itertools.product(*(range(counts[i] + 1) for i in letters)):
+        yield {i: m for i, m in zip(letters, mults) if m}
+
+
+def reference_consequence_words(gens, md):
+    """Expansions, as frozensets of words, of every multidegree-md instance
+    L(w_1, ..., w_m) x_{l_1} ... x_{l_r}: L runs over the generators (and
+    their partial linearizations when the set's closure is on), each w_i
+    over every left-normalized monomial of every multidegree, and the tail
+    over every ordering of the leftover letters.  No basis is chosen."""
+    from lieid.lie_core import (assoc_expand, bracket, leaf, substitute,
+                                word_monomial)
+
+    target = dict(md.items())
+    out = []
+    for gen in gens.generators:
+        forms = _linearizations(gen.poly) if gens.polarize_closure else [gen.poly]
+        for form in forms:
+            slots = list(form.multidegree().items())
+
+            def rec(k, left, assignment):
+                if k == len(slots):
+                    inst = substitute(form, assignment)
+                    letters = [i for i, m in left.items() for _ in range(m)]
+                    for tail in distinct_permutations(letters):
+                        elem = inst
+                        for letter in tail:
+                            elem = bracket(elem, leaf(letter))
+                        words = assoc_expand(elem).words
+                        if words:
+                            out.append(words)
+                    return
+                v, d = slots[k]
+                for mu in _submultisets(left):
+                    if not mu or any(d * m > left[i] for i, m in mu.items()):
+                        continue
+                    rest = {i: left[i] - d * mu.get(i, 0) for i in left}
+                    rest = {i: m for i, m in rest.items() if m}
+                    seq = [i for i, m in mu.items() for _ in range(m)]
+                    for arrangement in distinct_permutations(seq):
+                        assignment[v] = word_monomial(arrangement)
+                        rec(k + 1, rest, assignment)
+                assignment.pop(v, None)
+
+            rec(0, target, {})
+    return out

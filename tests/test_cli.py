@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
-from lieid.cli import main
+import pytest
+
+from lieid.cli import MAX_PRINTED_INDEX, main
 from lieid.expr import parse
 from lieid.lie_core import assoc_expand
 from lieid.tideal import triple_identity
@@ -36,6 +38,29 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "x1 +")
         assert code == 2
         assert "error" in err
+
+    def test_deep_nesting_exits_two(self, capsys):
+        text = "(" * 3000 + "x1 x2" + ")" * 3000
+        code, out, err = run_cli(capsys, "verify", text)
+        assert code == 2
+        assert out == ""
+        assert "nested deeper" in err
+
+    def test_variable_index_past_the_printed_range_exits_two(self, capsys):
+        # one past the bound: small enough to print even if the bound went
+        code, out, err = run_cli(capsys, "verify",
+                                 f"x1 x{MAX_PRINTED_INDEX + 1}")
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
+    def test_largest_printed_variable_index(self, capsys):
+        code, report = run_json(capsys, "verify", f"x1 x{MAX_PRINTED_INDEX}")
+        assert code == 1
+        (comp,) = report["components"]
+        entries = comp["multidegree"].split(",")
+        assert len(entries) == MAX_PRINTED_INDEX
+        assert entries[0] == entries[-1] == "1"
 
     def test_sl2_oracle(self, capsys):
         code, report = run_json(capsys, "verify", "x1 x2 x3", "--algebra", "sl2")
@@ -100,6 +125,15 @@ class TestConsequences:
 
 
 class TestCheckTheorem:
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_bound_below_one_exits_two(self, capsys, bound):
+        # zero components would otherwise pass vacuously
+        code, out, err = run_cli(capsys, "check-theorem",
+                                 "--max-total-degree", bound, "--json")
+        assert code == 2
+        assert out == ""
+        assert "--max-total-degree" in err
+
     def test_small_bound(self, capsys):
         code, report = run_json(capsys, "check-theorem", "--max-total-degree", "4")
         assert code == 0
@@ -113,6 +147,14 @@ class TestLemmas:
         code, report = run_json(capsys, "lemmas", "--run", "L1e2")
         assert code == 0
         assert report["checks"]["L1e2"]["pass"] is True
+
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_bound_below_one_exits_two(self, capsys, bound):
+        code, out, err = run_cli(capsys, "lemmas", "--run", "theorem",
+                                 "--max-total-degree", bound)
+        assert code == 2
+        assert out == ""
+        assert "--max-total-degree" in err
 
     def test_unknown_name_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "lemmas", "--run", "NoSuchLemma")

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieid.expr import ParseError, format_monomial, format_poly, parse
+from lieid.expr import (
+    MAX_NESTING,
+    ParseError,
+    format_monomial,
+    format_poly,
+    parse,
+)
 from lieid.lie_core import (
     LiePoly,
     assoc_expand,
@@ -61,6 +67,16 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.position == offset
+
+    def test_nesting_at_the_limit_parses(self):
+        text = "(" * MAX_NESTING + "x1 x2" + ")" * MAX_NESTING
+        assert parse(text) == LiePoly.of(pair(leaf(1), leaf(2)))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        text = "(" * 3000 + "x1 x2" + ")" * 3000
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == MAX_NESTING
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):

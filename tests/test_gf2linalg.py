@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieid.gf2linalg import (
+    Echelon,
+    GF2Subspace,
     WordIndex,
     contains,
     dim,
@@ -77,6 +79,24 @@ class TestSpan:
         idx = WordIndex((0, 1))
         with pytest.raises(ValueError):
             span(idx, [0b100])
+
+
+class TestEchelon:
+    def test_incremental_insert_matches_span(self, idx8):
+        vecs = [0b0110, 0b0101, 0b0011, 0b1100]
+        ech = Echelon(idx8)
+        added = [ech.insert(v) for v in vecs]
+        assert added == [True, True, False, True]
+        assert ech.dim == 3
+        assert GF2Subspace(ech) == span(idx8, vecs)
+
+    def test_vector_too_wide_rejected(self):
+        ech = Echelon(WordIndex((0, 1)))
+        with pytest.raises(ValueError):
+            ech.insert(0b100)
+        with pytest.raises(ValueError):
+            ech.insert(-1)
+        assert ech.dim == 0
 
 
 class TestMembershipAndComparison:

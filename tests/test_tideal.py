@@ -16,6 +16,8 @@ from lieid.lie_core import (
     substitute,
     word_monomial,
 )
+from lieid import tideal
+from lieid.gf2linalg import span
 from lieid.tideal import (
     BASE_RELATION,
     BASE_SET,
@@ -23,6 +25,7 @@ from lieid.tideal import (
     GeneratorSet,
     canonical_multidegrees,
     check_generation,
+    clear_caches,
     coefficient_conditions_hold,
     component,
     consequences,
@@ -50,7 +53,7 @@ from lieid.tideal import (
     zero_in_quotient,
 )
 
-from oracles import distinct_permutations
+from oracles import distinct_permutations, naive_rank, reference_consequence_words
 
 
 class TestComponent:
@@ -362,6 +365,113 @@ class TestSpanChecks:
     def test_generation_respects_maxgen_precondition(self):
         with pytest.raises(ValueError):
             check_generation(MultiDeg.multilinear(5), maxgen=4)
+
+
+def _word_pair_family(polarize_closure=True):
+    polys = [BASE_RELATION] + [word_pair_element(k) for k in (3, 4, 5)]
+    return generator_set(polys, polarize_closure)
+
+
+def _cubic_set(polarize_closure):
+    return generator_set([parse("x2 x1 x1 x1")], polarize_closure)
+
+
+class TestFastPaths:
+    """Each shortcut of the consequence layer against the slow path."""
+
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(1, 5) + [MultiDeg.multilinear(6)],
+        ids=repr,
+    )
+    def test_early_exit_equals_full_enumeration(self, md):
+        gens = theorem_generators(max(md.total, 4))
+        clear_caches()
+        rep = check_generation(md)
+        early = consequences(gens, md)  # the span check_generation cached
+        ids = identities(md)
+        clear_caches()
+        full = consequences(gens, md)
+        assert early == full
+        assert rep.dim_consequences == full.dim
+        assert rep.equal == (full == ids)
+
+    def test_early_exit_stops_before_the_last_vector(self, monkeypatch):
+        md = MultiDeg.multilinear(5)
+        gens = theorem_generators(5)
+        drawn = []
+        vectors = tideal._consequence_vectors
+
+        def counted(*args):
+            for vec in vectors(*args):
+                drawn.append(vec)
+                yield vec
+
+        monkeypatch.setattr(tideal, "_consequence_vectors", counted)
+        clear_caches()
+        check_generation(md)
+        early = len(drawn)
+        drawn.clear()
+        clear_caches()
+        consequences(gens, md)
+        assert 0 < early < len(drawn)
+
+    def test_rank_target_outside_the_span_is_an_error(self):
+        md = MultiDeg.multilinear(5)
+        idx = word_index(md)
+        clear_caches()
+        wrong = span(idx, [idx.unit(idx.labels[0])])
+        with pytest.raises(ValueError):
+            consequences(BASE_SET, md, within=wrong)
+
+    def test_non_identity_generator_disables_the_early_exit(self, monkeypatch):
+        md = MultiDeg.multilinear(4)
+        real = theorem_generators
+
+        def with_non_identity(maxgen):
+            gens = real(maxgen)
+            bad = Generator("bad", as_poly(word_monomial([1, 2, 3, 4])))
+            return GeneratorSet(gens.generators + (bad,))
+
+        monkeypatch.setattr(tideal, "theorem_generators", with_non_identity)
+        clear_caches()
+        rep = check_generation(md)
+        assert rep.dim_consequences == component(md).dim
+        assert rep.dim_identities == 1
+        assert not rep.equal
+
+    @pytest.mark.parametrize(
+        "name,gens",
+        [
+            ("base", lambda md: BASE_SET),
+            ("theorem", lambda md: theorem_generators(max(md.total, 4))),
+            ("word_pairs", lambda md: _word_pair_family()),
+            ("word_pairs_unpolarized", lambda md: _word_pair_family(False)),
+            ("cubic", lambda md: _cubic_set(True)),
+            ("cubic_unpolarized", lambda md: _cubic_set(False)),
+        ],
+    )
+    def test_basis_slots_equal_every_monomial_in_every_slot(self, name, gens):
+        for md in canonical_multidegrees(1, 5):
+            self._assert_equals_reference(gens(md), md)
+
+    @pytest.mark.parametrize(
+        "polarize_closure", [False, pytest.param(True, marks=pytest.mark.slow)]
+    )
+    def test_repeated_slot_takes_every_monomial(self, polarize_closure):
+        # Below total degree 7 every repeated slot of these sets holds a
+        # letter or a degree-2 monomial, where basis and monomials agree;
+        # here x1 takes degree-3 monomials, whose basis is smaller.  The
+        # closed set is slow only for the reference enumerator.
+        gs = generator_set([parse("x1 x2 x1")], polarize_closure)
+        self._assert_equals_reference(gs, MultiDeg({1: 2, 2: 2, 3: 2, 4: 1}))
+
+    @staticmethod
+    def _assert_equals_reference(gs, md):
+        cons = consequences(gs, md)
+        ref = [set(words) for words in reference_consequence_words(gs, md)]
+        rows = [set(cons.index.support(v)) for v in cons.basis_vectors()]
+        assert naive_rank(ref) == cons.dim, md
+        assert naive_rank(rows + ref) == cons.dim, md
 
 
 class TestIndependence:
