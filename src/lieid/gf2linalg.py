@@ -15,10 +15,6 @@ __all__ = [
     "GF2Subspace",
     "Echelon",
     "span",
-    "contains",
-    "equal",
-    "subset",
-    "dim",
     "kernel",
     "solve_in_span",
 ]
@@ -134,19 +130,13 @@ class GF2Subspace:
         self.rows = tuple(ech.rows)
         self.pivots = tuple(ech.pivots)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    # both classes keep the basis in ``pivots`` and ``rows``
+    dim = Echelon.dim
+    reduce = Echelon.reduce
 
     def _check_index(self, other: "GF2Subspace") -> None:
         if self.index is not other.index and self.index != other.index:
             raise ValueError("subspaces are indexed by different word lists")
-
-    def reduce(self, v: int) -> int:
-        for p, row in zip(self.pivots, self.rows):
-            if (v >> p) & 1:
-                v ^= row
-        return v
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -179,22 +169,6 @@ def span(index: WordIndex, vectors: Iterable[int]) -> GF2Subspace:
     return GF2Subspace(ech)
 
 
-def contains(s: GF2Subspace, v: int) -> bool:
-    return s.contains(v)
-
-
-def equal(s: GF2Subspace, t: GF2Subspace) -> bool:
-    return s == t
-
-
-def subset(s: GF2Subspace, t: GF2Subspace) -> bool:
-    return s.subset(t)
-
-
-def dim(s: GF2Subspace) -> int:
-    return s.dim
-
-
 def kernel(index: WordIndex, rows: Iterable[int]) -> GF2Subspace:
     """Null space of a constraint matrix, in the coordinates of ``index``.
 
@@ -223,28 +197,22 @@ def solve_in_span(
 ) -> Optional[list[int]]:
     """Positions i with target = XOR of vectors[i], or None when unsolvable.
 
-    The particular solution is the one produced by Gaussian elimination in
-    the given vector order, which makes it deterministic.
+    The solution is the unique expression of the target in the greedily
+    independent prefix: the vectors, in the given order, that are
+    independent of the vectors before them.  Each vector carries its
+    position as a bit above the index width, so reducing the target by the
+    echelon of that prefix leaves, above the width, the positions it used.
     """
-    ech_rows: list[tuple[int, int]] = []  # (row, combination) sorted by pivot
-    pivots: list[int] = []
-
-    def reduce_tracked(v: int, combo: int) -> tuple[int, int]:
-        for p, (row, rcombo) in zip(pivots, ech_rows):
-            if (v >> p) & 1:
-                v ^= row
-                combo ^= rcombo
-        return v, combo
-
+    width = index.size
+    words = (1 << width) - 1
+    if any(v & ~words for v in (target, *vectors)):
+        raise ValueError("vector does not fit the index length")
+    ech = Echelon(WordIndex(range(width + len(vectors))))
     for i, v in enumerate(vectors):
-        v, combo = reduce_tracked(v, 1 << i)
-        if v:
-            p = _lowest_bit(v)
-            at = bisect.bisect_left(pivots, p)
-            pivots.insert(at, p)
-            ech_rows.insert(at, (v, combo))
-
-    residual, combo = reduce_tracked(target, 0)
-    if residual:
+        tagged = ech.reduce(v | 1 << (width + i))
+        if tagged & words:
+            ech.insert(tagged)
+    residual = ech.reduce(target)
+    if residual & words:
         return None
-    return [i for i in range(len(vectors)) if (combo >> i) & 1]
+    return [i for i in range(len(vectors)) if residual >> (width + i) & 1]

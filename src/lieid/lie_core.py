@@ -329,10 +329,6 @@ class LiePoly:
             acc.symmetric_difference_update((_as_monomial(m),))
         return cls(frozenset(acc))
 
-    @classmethod
-    def from_monomials(cls, monomials: Iterable[MonomialLike]) -> "LiePoly":
-        return cls.of(*monomials)
-
     def __add__(self, other: "LiePoly") -> "LiePoly":
         return LiePoly(self.monomials.symmetric_difference(other.monomials))
 
@@ -540,4 +536,4 @@ def polarize(
                 counts[i] += 1
         if all(counts[q] == target[q] for q in parts):
             kept.append(m)
-    return LiePoly.from_monomials(kept)
+    return LiePoly.of(*kept)

@@ -229,32 +229,23 @@ def component(md: MultiDeg) -> Component:
 
 
 def lie_poly_from_vector(md: MultiDeg, vec: int) -> LiePoly:
-    """A deterministic Lie polynomial whose expansion is the given vector."""
+    """A deterministic Lie polynomial whose expansion is the given vector:
+    its unique expression in ``Component.basis``.
+
+    ``solve_in_span`` over every monomial gives the same expression, as it
+    uses only the greedily independent ones, which are that basis.
+    """
     comp = component(md)
-    sol = solve_in_span(comp.index, comp.vectors, vec)
+    basis = set(comp.basis)
+    pairs = [(m, v) for m, v in zip(comp.monomials, comp.vectors) if m in basis]
+    sol = solve_in_span(comp.index, [v for _, v in pairs], vec)
     if sol is None:
         raise ValueError("vector is not the expansion of a Lie element")
-    return LiePoly.from_monomials(comp.monomials[i] for i in sol)
+    return LiePoly.of(*(pairs[i][0] for i in sol))
 
 
 # ---------------------------------------------------------------------------
 # consequence spans
-
-def _partitions_at_least_two_parts(d: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of d with at least two parts, parts nonincreasing."""
-
-    def rec(rest: int, bound: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            if len(acc) >= 2:
-                yield tuple(acc)
-            return
-        for part in range(min(bound, rest), 0, -1):
-            acc.append(part)
-            yield from rec(rest - part, part, acc)
-            acc.pop()
-
-    return rec(d, d - 1 if d > 1 else d, [])
-
 
 def _canonical_variables(p: LiePoly) -> LiePoly:
     variables = sorted(p.support())
@@ -281,7 +272,8 @@ def _polarization_closure(p: LiePoly) -> tuple[LiePoly, ...]:
         for v, d in md.items():
             if d < 2:
                 continue
-            for parts_shape in _partitions_at_least_two_parts(d):
+            # every partition of d but the first, (d,): at least two parts
+            for parts_shape in itertools.islice(_partitions(d), 1, None):
                 fresh = [top + 1 + t for t in range(len(parts_shape))]
                 target = dict(zip(fresh, parts_shape))
                 pol = polarize(q, v, fresh, target)
@@ -725,27 +717,15 @@ def zero_in_quotient(p: PolyLike) -> bool:
 
 def all_linearizations(p: PolyLike) -> list[LiePoly]:
     """Every complete or partial linearization of p, over all repeated
-    variables, iterated; formally zero results are dropped."""
-    pp = as_poly(p)
-    out: list[LiePoly] = []
-    queue = [pp]
-    seen: set[LiePoly] = set()
-    while queue:
-        q = queue.pop(0)
-        if q in seen or q.is_formal_zero():
-            continue
-        seen.add(q)
-        if q is not pp:
-            out.append(q)
-        md = q.multidegree()
-        top = max(md.indices())
-        for v, d in md.items():
-            if d < 2:
-                continue
-            for shape in _partitions_at_least_two_parts(d):
-                fresh = [top + 1 + t for t in range(len(shape))]
-                queue.append(polarize(q, v, fresh, dict(zip(fresh, shape))))
-    return out
+    variables, iterated: the polarization closure of p without p itself.
+
+    Variables are canonically renumbered and linearizations that expand to
+    zero are dropped.  Neither changes an answer of ``zero_in_quotient``:
+    a renaming of variables is an invertible substitution, so it preserves
+    membership in any T-ideal, and an element that expands to zero is 0 in
+    the free Lie algebra, hence 0 in every quotient.
+    """
+    return list(_polarization_closure(as_poly(p))[1:])
 
 
 def tail_rewrite_difference(

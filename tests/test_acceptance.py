@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-pass; the two multi-minute extensions carry the ``slow`` marker.
+pass; the two multi-minute extensions carry the ``slow`` marker.  Criteria
+that are lemma statements run the suites of ``lieid lemmas`` through
+``LEMMAS``, so each statement is written once.
 """
 
 import math
@@ -10,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from lieid.cli import LEMMAS, generation_check
 from lieid.eval_gl2 import is_identity_gl2, sub_ij
 from lieid.expr import format_poly, parse
 from lieid.lie_core import (
@@ -24,23 +27,16 @@ from lieid.lie_core import (
 from lieid.tideal import (
     BASE_RELATION,
     all_linearizations,
-    canonical_multidegrees,
-    check_generation,
     component,
-    derived_cube_zero_check,
-    derived_span_check,
     identities,
     identity_coefficient_space,
     lie_poly_from_vector,
     monomials_of,
-    multilinear_span_check,
     normal_form_labels,
     normal_form_poly,
-    tail_rewrite_difference,
     triple_identity,
     word_pair_element,
     word_pair_independence,
-    zero_in_quotient,
 )
 
 import oracles
@@ -72,8 +68,9 @@ def test_01_generating_set_members_are_identities():
 def test_02_base_and_word_pair_families_hold():
     with criterion(2, "base relation and word-pair family hold on gl2"):
         assert is_identity_gl2(parse("(x1 x2)(x3 x4) x5"))
-        for n in range(2, 7):
-            assert is_identity_gl2(word_pair_element(n))
+        details, ok = LEMMAS["L1e2"]()
+        assert ok, details
+        assert sorted(details["word_pair_identity"]) == ["2", "3", "4", "5", "6"]
 
 
 def test_03_multilinear_kernel_at_four_is_exactly_the_three_term_identity():
@@ -87,9 +84,10 @@ def test_03_multilinear_kernel_at_four_is_exactly_the_three_term_identity():
 
 def test_04_permuted_triple_identities_span_the_multilinear_identities():
     with criterion(4, "permuted f_n span identities(1^n) mod base, n=4,5,6"):
+        details, ok = LEMMAS["Lmultlin"]()
+        assert ok, details
+        assert sorted(details) == ["n4", "n5", "n6"]
         for n in (4, 5, 6):
-            rep = multilinear_span_check(n)
-            assert rep.equal, f"n={n}: {rep}"
             expected = math.comb(n - 2, 2)
             assert identity_coefficient_space(n).dim == expected, (
                 f"coefficient space at n={n}"
@@ -98,56 +96,40 @@ def test_04_permuted_triple_identities_span_the_multilinear_identities():
 
 def test_05_consequence_spans_equal_identity_spaces_up_to_degree_six():
     with criterion(5, "generation check at every multidegree, total <= 6"):
-        for md in canonical_multidegrees(1, 6):
-            rep = check_generation(md)
-            assert rep.equal, f"multidegree {md}: {rep}"
+        details, ok = LEMMAS["theorem"](6)
+        assert ok, details["failures"]
+        assert len(details["dim_identities"]) == 29
 
 
 @pytest.mark.slow
 def test_05b_generation_check_at_multilinear_seven():
     with criterion("5b", "generation check at 1^7 (slow)"):
-        rep = check_generation(MultiDeg.multilinear(7))
-        assert rep.equal, str(rep)
-        assert rep.dim_identities == 700
+        (row,), ok = generation_check([MultiDeg.multilinear(7)])
+        assert ok, row
+        assert row["dim_identities"] == 700
 
 
 def test_06_tail_rewriting_holds_in_the_quotient():
     with criterion(6, "tail rewriting: fixed and five random instances"):
-        fixed = LiePoly.of(
-            pair(word_monomial([1, 2, 5]), pair(leaf(3), leaf(4))),
-            pair(pair(leaf(1), leaf(2)), word_monomial([3, 4, 5])),
-        )
-        assert zero_in_quotient(fixed)
-        rng = random.Random(60)
-        for _ in range(5):
-            n = rng.randint(1, 3)
-            alphabet = [1, 2, 3][: rng.randint(2, 3)]
-            letters = [rng.choice(alphabet) for _ in range(n + 4)]
-            x, y, u, v = letters[:4]
-            gs = letters[4:]
-            r = rng.randint(0, n)
-            sigma = list(range(n))
-            rng.shuffle(sigma)
-            diff = tail_rewrite_difference(x, y, gs, u, v, r, sigma)
-            assert zero_in_quotient(diff), (x, y, gs, u, v, r, sigma)
+        details, ok = LEMMAS["LFid"](60)
+        assert ok, details
+        assert details == {"fixed_instance": True, "random_instances": True}
 
 
 def test_07_derived_subalgebra_spanning_sets():
     with criterion(7, "derived-subalgebra spans, totals 2..5, cube at 6"):
-        for part in (1, 2, 3):
-            for md in canonical_multidegrees(2, 5):
-                rep = derived_span_check(md, part)
-                assert rep.spans, f"part {part} at {md}: {rep}"
-        cube = derived_cube_zero_check(6)
-        assert cube.all_zero and cube.instances > 0
+        details, ok = LEMMAS["LF"]()
+        assert ok, details
+        assert all(details[str(part)]["pass"] for part in (1, 2, 3))
+        cube = details["cube_degree_6"]
+        assert cube["pass"] and cube["instances"] > 0
 
 
 def test_08_word_pair_members_are_independent():
     with criterion(8, "word-pair member not a consequence of the rest, n=3,4"):
-        for n in (3, 4):
-            rep = word_pair_independence(n)
-            assert not rep.in_span_without, f"n={n}"
-            assert rep.in_span_with, f"n={n}"
+        details, ok = LEMMAS["LFid2"]()
+        assert ok, details
+        assert details["independent_3"] and details["independent_4"]
 
 
 @pytest.mark.slow
@@ -161,10 +143,12 @@ def test_08b_word_pair_independence_at_five():
 def test_09_linearizations_of_word_pair_elements_vanish():
     with criterion(9, "all linearizations of word-pair elements are 0 in the quotient"):
         for n in (3, 4):
-            lins = all_linearizations(word_pair_element(n))
-            assert lins, f"n={n} produced no linearizations"
-            for lin in lins:
-                assert zero_in_quotient(lin), f"n={n}: {format_poly(lin)}"
+            assert all_linearizations(word_pair_element(n)), (
+                f"n={n} produced no linearizations")
+        details, ok = LEMMAS["LFid2"]()
+        assert ok, details
+        assert details["linearizations_zero_3"]
+        assert details["linearizations_zero_4"]
 
 
 def test_10_oracle_agreement_on_random_multilinear_inputs():

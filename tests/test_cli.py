@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lieid.cli import MAX_PRINTED_INDEX, main
+from lieid import tideal
+from lieid.cli import LEMMAS, MAX_PRINTED_INDEX, main
 from lieid.expr import parse
-from lieid.lie_core import assoc_expand
+from lieid.lie_core import assoc_expand, is_zero
 from lieid.tideal import triple_identity
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -169,11 +173,57 @@ class TestLemmas:
         assert details["n5"]["dim"] == 3
         assert details["n5"]["matches_kernel"] is True
 
+    @pytest.mark.parametrize("seed", (60, 230))
+    def test_tail_rewriting_checks_only_nonzero_instances(self, monkeypatch,
+                                                          seed):
+        # an instance that is already 0 in the free Lie algebra is 0 in the
+        # quotient whatever the lemma says, so it would check nothing
+        checked = []
+        original = tideal.zero_in_quotient
+
+        def record(p):
+            checked.append(p)
+            return original(p)
+
+        monkeypatch.setattr(tideal, "zero_in_quotient", record)
+        details, ok = LEMMAS["LFid"](seed)
+        assert ok, details
+        assert len(checked) == 6
+        assert not any(is_zero(p) for p in checked)
+
 
 def strip_elapsed(report):
     report = dict(report)
     report.pop("elapsed_s")
     return report
+
+
+# The recorded reports pin the --json output byte for byte, apart from
+# elapsed_s: the basis printouts go through solve_in_span, the polarized
+# generator through the polarization closure, and the lemma details through
+# the suites of LEMMAS.
+RECORDED = {
+    "check_theorem_d5": ["check-theorem", "--max-total-degree", "5"],
+    "identities_1_1_1_1_1": ["identities", "--multidegree", "1,1,1,1,1",
+                             "--basis"],
+    "identities_2_2_1": ["identities", "--multidegree", "2,2,1", "--basis"],
+    "consequences_polarized_2_2_1_1": [
+        "consequences", "--gens", str(DATA / "gens_polarized.txt"),
+        "--multidegree", "2,2,1,1", "--basis"],
+    "consequences_unpolarized_2_2_1_1": [
+        "consequences", "--gens", str(DATA / "gens_unpolarized.txt"),
+        "--multidegree", "2,2,1,1", "--basis"],
+    "lemmas_seven": ["lemmas", "--run",
+                     "L1e2,LFid,LF,LFid2,L9mine,Lfact2,Lmultlin"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_json_matches_recorded_report(capsys, name):
+    _, report = run_json(capsys, *RECORDED[name])
+    recorded = json.loads((DATA / f"{name}.json").read_text())
+    assert json.dumps(strip_elapsed(report), sort_keys=True) == json.dumps(
+        recorded, sort_keys=True)
 
 
 def test_json_is_deterministic(capsys):

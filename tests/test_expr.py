@@ -115,7 +115,7 @@ lie_monomials = st.recursive(
     max_leaves=6,
 )
 lie_polys = st.lists(lie_monomials, max_size=5).map(
-    lambda ms: LiePoly.from_monomials(ms)
+    lambda ms: LiePoly.of(*ms)
 )
 
 
@@ -139,7 +139,7 @@ def random_poly(rng, max_index=9, max_terms=4, max_leaves=6):
         return pair(mono(cut), mono(budget - cut))
 
     terms = [mono(rng.randint(1, max_leaves)) for _ in range(rng.randint(0, max_terms))]
-    return LiePoly.from_monomials(terms)
+    return LiePoly.of(*terms)
 
 
 def test_round_trip_seeded_sample():

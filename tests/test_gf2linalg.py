@@ -8,13 +8,9 @@ from lieid.gf2linalg import (
     Echelon,
     GF2Subspace,
     WordIndex,
-    contains,
-    dim,
-    equal,
     kernel,
     solve_in_span,
     span,
-    subset,
 )
 from lieid.lie_core import assoc_expand, word_monomial
 
@@ -101,29 +97,29 @@ class TestEchelon:
 
 class TestMembershipAndComparison:
     def test_zero_always_contained(self, idx8):
-        assert contains(span(idx8, []), 0)
+        assert span(idx8, []).contains(0)
 
     def test_generator_contained(self, idx8):
         v = 0b1011
-        assert contains(span(idx8, [v]), v)
+        assert span(idx8, [v]).contains(v)
 
     def test_equal_and_subset(self, idx8):
         s = span(idx8, [0b11, 0b101])
-        assert equal(s, s)
-        assert subset(span(idx8, []), s)
+        assert s == s
+        assert span(idx8, []).subset(s)
         t = span(idx8, [0b11])
-        assert subset(t, s) and not subset(s, t)
-        assert not equal(s, t)
+        assert t.subset(s) and not s.subset(t)
+        assert s != t
 
     def test_dim(self, idx8):
-        assert dim(span(idx8, [0b1, 0b10, 0b11])) == 2
+        assert span(idx8, [0b1, 0b10, 0b11]).dim == 2
 
     def test_index_mismatch_is_an_error(self, idx8):
         other = WordIndex(tuple(range(9)))
         with pytest.raises(ValueError):
-            equal(span(idx8, []), span(other, []))
+            span(idx8, []) == span(other, [])
         with pytest.raises(ValueError):
-            subset(span(idx8, []), span(other, []))
+            span(idx8, []).subset(span(other, []))
 
     def test_rref_idempotence(self, idx8):
         rng = random.Random(11)
@@ -139,7 +135,7 @@ class TestMembershipAndComparison:
             s = span(idx8, vs)
             v = rng.getrandbits(8)
             grew = span(idx8, list(s.basis_vectors()) + [v])
-            assert contains(s, v) == (grew.dim == s.dim)
+            assert s.contains(v) == (grew.dim == s.dim)
 
 
 class TestKernel:
@@ -229,6 +225,29 @@ class TestSolveInSpan:
     def test_reports_unsolvable(self):
         idx = WordIndex(tuple(range(4)))
         assert solve_in_span(idx, [0b0011], 0b1000) is None
+
+    def test_uses_only_the_greedily_independent_prefix(self):
+        # lie_poly_from_vector relies on this: the solution is the unique
+        # expression of the target in the vectors independent of earlier ones
+        rng = random.Random(16)
+        idx = WordIndex(tuple(range(8)))
+        for _ in range(200):
+            vectors = [rng.getrandbits(8) for _ in range(rng.randint(1, 12))]
+            target = rng.getrandbits(8)
+            sol = solve_in_span(idx, vectors, target)
+            if sol is None:
+                assert not span(idx, vectors).contains(target)
+                continue
+            assert sol == sorted(set(sol))
+            for i in sol:
+                assert not span(idx, vectors[:i]).contains(vectors[i])
+
+    def test_vector_too_wide_rejected(self):
+        idx = WordIndex((0, 1))
+        with pytest.raises(ValueError):
+            solve_in_span(idx, [0b100], 0b1)
+        with pytest.raises(ValueError):
+            solve_in_span(idx, [0b1], 0b100)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from lieid.lie_core import (
     word_monomial,
 )
 from lieid import tideal
-from lieid.gf2linalg import span
+from lieid.gf2linalg import solve_in_span, span
 from lieid.tideal import (
     BASE_RELATION,
     BASE_SET,
@@ -96,6 +96,14 @@ class TestComponent:
                 target ^= v
             p = lie_poly_from_vector(md, target)
             assert expansion_vector(comp.index, p) == target
+
+    @pytest.mark.parametrize("md", canonical_multidegrees(2, 5), ids=str)
+    def test_lie_poly_from_vector_equals_solving_over_every_monomial(self, md):
+        comp = component(md)
+        for vec in comp.space.basis_vectors() + identities(md).basis_vectors():
+            sol = solve_in_span(comp.index, comp.vectors, vec)
+            expected = LiePoly.of(*(comp.monomials[i] for i in sol))
+            assert lie_poly_from_vector(md, vec) == expected
 
     def test_lie_poly_from_vector_rejects_non_members(self):
         md = MultiDeg({1: 1, 2: 1})
