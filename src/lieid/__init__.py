@@ -24,7 +24,6 @@ from .expr import ParseError, format_poly, parse
 from .gf2linalg import GF2Subspace, WordIndex, kernel, span
 from .eval_gl2 import (
     GMat2,
-    PolyGF2,
     evaluate,
     generic_matrix,
     is_identity_gl2,

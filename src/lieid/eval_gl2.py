@@ -1,27 +1,41 @@
 """Evaluation of Lie polynomials on 2x2 matrices over polynomial rings of
 characteristic two.
 
-Matrix entries live in GF(2)[v_0, v_1, ...]; a Lie polynomial is an identity
-for gl2 exactly when its evaluation at generic matrices (independent
-indeterminate entries, one matrix per variable) is the zero matrix.  Over an
-infinite base field of characteristic two this criterion is exact in both
-directions.
+Matrix entries live in GF(2)[v_0, v_1, ...].  A polynomial is a frozenset of
+packed monomials (Monagan & Pearce, ISSAC 2009): the exponent of v_j sits in
+bits [j*w, (j+1)*w) of one int, for a field width w fixed per evaluation, so
+the product of two monomials is the sum of their ints and the sum of two
+polynomials is the symmetric difference of their sets.  Packing is exact as
+long as no exponent exceeds 2^w - 1; every entry of a monomial's value has,
+in the indeterminates of x_i, degree at most the multiplicity of x_i, so
+``field_width`` of the largest multiplicity suffices.
+
+A Lie polynomial is an identity for gl2 exactly when its evaluation at
+generic matrices is the zero matrix; over an infinite base field of
+characteristic two this criterion is exact in both directions.  The generic
+matrices here are centre-free, X_i = [[0, q_i], [r_i, s_i]]: see
+``generic_matrix`` for why that changes no verdict.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .lie_core import (
     LieMonomial,
-    LiePoly,
     PolyLike,
     as_poly,
     check_degree_cap,
+    get_degree_cap,
+    multidegree,
 )
 
 __all__ = [
-    "PolyGF2",
+    "ZERO",
+    "ONE",
+    "variable",
+    "poly_mul",
+    "field_width",
     "GMat2",
     "A_MAT",
     "B_MAT",
@@ -37,126 +51,53 @@ __all__ = [
     "is_identity_sl2",
 ]
 
-# A polynomial monomial is a tuple of (variable, exponent) pairs sorted by
-# variable; the empty tuple is the constant 1.
-_Mono = tuple[tuple[int, int], ...]
+ZERO: frozenset[int] = frozenset()
+ONE: frozenset[int] = frozenset((0,))
 
 
-def _mono_mul(a: _Mono, b: _Mono) -> _Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged: dict[int, int] = dict(a)
-    for var, exp in b:
-        merged[var] = merged.get(var, 0) + exp
-    return tuple(sorted(merged.items()))
+def variable(j: int, width: int) -> frozenset[int]:
+    """The indeterminate v_j, in fields of the given width."""
+    return frozenset((1 << (j * width),))
 
 
-class PolyGF2:
-    """Multivariate polynomial with GF(2) coefficients."""
-
-    __slots__ = ("monos",)
-
-    def __init__(self, monos: frozenset[_Mono]):
-        self.monos = monos
-
-    ZERO: "PolyGF2"
-    ONE: "PolyGF2"
-
-    @classmethod
-    def variable(cls, var: int) -> "PolyGF2":
-        return cls(frozenset((((var, 1),),)))
-
-    def __add__(self, other: "PolyGF2") -> "PolyGF2":
-        return PolyGF2(self.monos.symmetric_difference(other.monos))
-
-    def __mul__(self, other: "PolyGF2") -> "PolyGF2":
-        if not self.monos or not other.monos:
-            return PolyGF2.ZERO
-        acc: set[_Mono] = set()
-        for a in self.monos:
-            for b in other.monos:
-                acc.symmetric_difference_update((_mono_mul(a, b),))
-        return PolyGF2(frozenset(acc))
-
-    def is_zero(self) -> bool:
-        return not self.monos
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyGF2):
-            return NotImplemented
-        return self.monos == other.monos
-
-    def __hash__(self) -> int:
-        return hash(self.monos)
-
-    def __repr__(self) -> str:
-        if not self.monos:
-            return "0"
-        parts = []
-        for mono in sorted(self.monos):
-            if not mono:
-                parts.append("1")
-            else:
-                parts.append(
-                    "*".join(
-                        f"v{var}" if exp == 1 else f"v{var}^{exp}"
-                        for var, exp in mono
-                    )
-                )
-        return " + ".join(parts)
+def poly_mul(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    if not a or not b:
+        return ZERO
+    if len(a) > len(b):
+        a, b = b, a
+    acc: set[int] = set()
+    for x in a:
+        # distinct monomials of b give distinct products with x
+        acc.symmetric_difference_update({x + y for y in b})
+    return frozenset(acc)
 
 
-PolyGF2.ZERO = PolyGF2(frozenset())
-PolyGF2.ONE = PolyGF2(frozenset(((),)))
+def field_width(max_multiplicity: int) -> int:
+    """Bits per exponent field, enough for exponents up to the multiplicity."""
+    return max(max_multiplicity, 1).bit_length()
 
 
-class GMat2:
-    """2x2 matrix over PolyGF2; entries in row-major order 11, 12, 21, 22."""
+class GMat2(NamedTuple):
+    """2x2 matrix of packed polynomials; entries in row-major order."""
 
-    __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11: PolyGF2, e12: PolyGF2, e21: PolyGF2, e22: PolyGF2):
-        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
+    e11: frozenset[int]
+    e12: frozenset[int]
+    e21: frozenset[int]
+    e22: frozenset[int]
 
     @classmethod
     def from_bits(cls, e11: int, e12: int, e21: int, e22: int) -> "GMat2":
-        pick = lambda b: PolyGF2.ONE if b else PolyGF2.ZERO
+        pick = lambda b: ONE if b else ZERO
         return cls(pick(e11), pick(e12), pick(e21), pick(e22))
 
-    def entries(self) -> tuple[PolyGF2, PolyGF2, PolyGF2, PolyGF2]:
-        return (self.e11, self.e12, self.e21, self.e22)
+    def entries(self) -> tuple[frozenset[int], ...]:
+        return tuple(self)
 
     def __add__(self, other: "GMat2") -> "GMat2":
-        return GMat2(
-            self.e11 + other.e11,
-            self.e12 + other.e12,
-            self.e21 + other.e21,
-            self.e22 + other.e22,
-        )
-
-    def matmul(self, other: "GMat2") -> "GMat2":
-        return GMat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
+        return GMat2(*(x ^ y for x, y in zip(self, other)))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GMat2):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
-
-    def __repr__(self) -> str:
-        return f"[[{self.e11!r}, {self.e12!r}], [{self.e21!r}, {self.e22!r}]]"
+        return not any(self)
 
 
 ZERO_MAT = GMat2.from_bits(0, 0, 0, 0)
@@ -169,27 +110,55 @@ BC_MAT = GMat2.from_bits(1, 0, 0, 1)
 
 
 def lie_mat(a: GMat2, b: GMat2) -> GMat2:
-    """Matrix commutator; in characteristic two [A, B] = AB + BA."""
-    return a.matmul(b) + b.matmul(a)
+    """Matrix commutator AB + BA, expanded with commuting entries.
+
+    In characteristic two the diagonal products cancel, leaving
+    [A, B] = [[t, a12 d_B + b12 d_A], [a21 d_B + b21 d_A, t]] with
+    t = a12 b21 + a21 b12 and d the trace: six products instead of sixteen.
+    """
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    da, db = a11 ^ a22, b11 ^ b22
+    t = poly_mul(a12, b21) ^ poly_mul(a21, b12)
+    return GMat2(t, poly_mul(a12, db) ^ poly_mul(b12, da),
+                 poly_mul(a21, db) ^ poly_mul(b21, da), t)
 
 
-def generic_matrix(i: int) -> GMat2:
-    """Fresh generic matrix for variable index i: four new indeterminates."""
-    base = 4 * (i - 1)
-    return GMat2(
-        PolyGF2.variable(base),
-        PolyGF2.variable(base + 1),
-        PolyGF2.variable(base + 2),
-        PolyGF2.variable(base + 3),
-    )
+def _default_width(width: Optional[int]) -> int:
+    return field_width(get_degree_cap()) if width is None else width
 
 
-def generic_matrix_sl2(i: int) -> GMat2:
-    """Generic trace-zero matrix: in characteristic two the diagonal entries
-    coincide, leaving three indeterminates."""
+def generic_matrix(i: int, width: Optional[int] = None) -> GMat2:
+    """Centre-free generic matrix for variable index i: [[0, q], [r, s]] with
+    q, r, s the fresh indeterminates v_{3(i-1)}, v_{3(i-1)+1}, v_{3(i-1)+2}.
+    The default width fits every multiplicity allowed by the degree cap.
+
+    The full generic matrix p I + [[0, q], [r, s]] gives the same identity
+    verdict for every Lie polynomial f.  I is central, so a bracket monomial
+    of degree >= 2 takes the same value at both.  Every entry of such a
+    value has degree >= 2 in the indeterminates, so the (1,2) entry of
+    f(centre-free) has degree-1 part sum_i c_i q_i, where c_i is the
+    coefficient of x_i in f; the full value adds sum_i c_i p_i I.  Either
+    value vanishes only if every c_i is 0, and then the two values are
+    equal.
+    """
     base = 3 * (i - 1)
-    diag = PolyGF2.variable(base)
-    return GMat2(diag, PolyGF2.variable(base + 1), PolyGF2.variable(base + 2), diag)
+    w = _default_width(width)
+    return GMat2(ZERO, variable(base, w), variable(base + 1, w),
+                 variable(base + 2, w))
+
+
+def generic_matrix_sl2(i: int, width: Optional[int] = None) -> GMat2:
+    """Centre-free generic trace-zero matrix: [[0, q], [r, 0]].
+
+    In characteristic two a trace-zero matrix has equal diagonal entries,
+    t I + [[0, q], [r, 0]], and t I is central; the argument of
+    ``generic_matrix``, with q still free in degree 1, shows that dropping
+    t changes no verdict.
+    """
+    base = 2 * (i - 1)
+    w = _default_width(width)
+    return GMat2(ZERO, variable(base, w), variable(base + 1, w), ZERO)
 
 
 class Evaluator:
@@ -226,26 +195,29 @@ def evaluate(p: PolyLike, assign: Mapping[int, GMat2]) -> GMat2:
     return Evaluator(assign).poly(p)
 
 
-def _indices(p: LiePoly) -> list[int]:
-    return sorted(p.support())
+def _vanishes_generically(p: PolyLike,
+                          matrix: Callable[[int, int], GMat2]) -> bool:
+    """Evaluate at generic matrices, the variables renumbered 1, 2, ... in
+    index order so that the packed ints stay short."""
+    pp = as_poly(p)
+    check_degree_cap(pp.max_degree())
+    width = field_width(max((d for m in pp.monomials
+                             for _, d in multidegree(m).items()), default=1))
+    assign = {i: matrix(k + 1, width)
+              for k, i in enumerate(sorted(pp.support()))}
+    return evaluate(pp, assign).is_zero()
 
 
 def is_identity_gl2(p: PolyLike) -> bool:
     """Exact identity test for gl2 over any infinite field of characteristic
     two, via evaluation at generic matrices."""
-    pp = as_poly(p)
-    check_degree_cap(pp.max_degree())
-    assign = {i: generic_matrix(i) for i in _indices(pp)}
-    return evaluate(pp, assign).is_zero()
+    return _vanishes_generically(p, generic_matrix)
 
 
 def is_identity_sl2(p: PolyLike) -> bool:
     """Identity test for the trace-zero subalgebra, via generic trace-zero
     matrices."""
-    pp = as_poly(p)
-    check_degree_cap(pp.max_degree())
-    assign = {i: generic_matrix_sl2(i) for i in _indices(pp)}
-    return evaluate(pp, assign).is_zero()
+    return _vanishes_generically(p, generic_matrix_sl2)
 
 
 def sub_ij(p: PolyLike, i: int, j: int, n: int) -> GMat2:

@@ -16,12 +16,19 @@ __all__ = [
     "Echelon",
     "span",
     "kernel",
+    "SpanSolver",
     "solve_in_span",
+    "bit_positions",
 ]
 
 
 def _lowest_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
+
+
+def bit_positions(v: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, lowest first."""
+    return [i for i, c in enumerate(reversed(bin(v))) if c == "1"]
 
 
 class WordIndex:
@@ -59,14 +66,7 @@ class WordIndex:
 
     def support(self, v: int) -> list[Hashable]:
         """Labels of the set bits, in index order."""
-        out = []
-        i = 0
-        while v:
-            if v & 1:
-                out.append(self.labels[i])
-            v >>= 1
-            i += 1
-        return out
+        return [self.labels[i] for i in bit_positions(v)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WordIndex):
@@ -192,27 +192,45 @@ def kernel(index: WordIndex, rows: Iterable[int]) -> GF2Subspace:
     return span(index, solutions)
 
 
+class SpanSolver:
+    """Expresses targets in the greedily independent prefix of a vector
+    list: the vectors, in the given order, that are independent of the
+    vectors before them.
+
+    Each vector carries its position as a bit above the index width, so
+    reducing a target by the echelon of that prefix leaves, above the width,
+    the positions it used.  The expression is unique, as the prefix is
+    independent.
+    """
+
+    __slots__ = ("width", "_ech")
+
+    def __init__(self, index: WordIndex, vectors: Sequence[int]):
+        self.width = index.size
+        words = (1 << self.width) - 1
+        if any(v & ~words for v in vectors):
+            raise ValueError("vector does not fit the index length")
+        self._ech = Echelon(WordIndex(range(self.width + len(vectors))))
+        for i, v in enumerate(vectors):
+            tagged = self._ech.reduce(v | 1 << (self.width + i))
+            if tagged & words:
+                self._ech.insert(tagged)
+
+    def solve(self, target: int) -> Optional[list[int]]:
+        """Positions i with target = XOR of vectors[i], or None when
+        unsolvable."""
+        if target < 0 or target >> self.width:
+            raise ValueError("vector does not fit the index length")
+        residual = self._ech.reduce(target)
+        if residual & ((1 << self.width) - 1):
+            return None
+        return bit_positions(residual >> self.width)
+
+
 def solve_in_span(
     index: WordIndex, vectors: Sequence[int], target: int
 ) -> Optional[list[int]]:
-    """Positions i with target = XOR of vectors[i], or None when unsolvable.
-
-    The solution is the unique expression of the target in the greedily
-    independent prefix: the vectors, in the given order, that are
-    independent of the vectors before them.  Each vector carries its
-    position as a bit above the index width, so reducing the target by the
-    echelon of that prefix leaves, above the width, the positions it used.
-    """
-    width = index.size
-    words = (1 << width) - 1
-    if any(v & ~words for v in (target, *vectors)):
-        raise ValueError("vector does not fit the index length")
-    ech = Echelon(WordIndex(range(width + len(vectors))))
-    for i, v in enumerate(vectors):
-        tagged = ech.reduce(v | 1 << (width + i))
-        if tagged & words:
-            ech.insert(tagged)
-    residual = ech.reduce(target)
-    if residual & words:
-        return None
-    return [i for i in range(len(vectors)) if residual >> (width + i) & 1]
+    """Positions i with target = XOR of vectors[i], or None when unsolvable:
+    the unique expression of the target in the greedily independent prefix
+    of the vectors (see ``SpanSolver``)."""
+    return SpanSolver(index, vectors).solve(target)

@@ -10,6 +10,7 @@ of larger degree has no substitution instance of the target multidegree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,12 +19,14 @@ from .expr import ParseError, parse
 from .gf2linalg import (
     Echelon,
     GF2Subspace,
+    SpanSolver,
     WordIndex,
+    bit_positions,
     kernel,
     solve_in_span,
     span,
 )
-from .eval_gl2 import Evaluator, generic_matrix, is_identity_gl2
+from .eval_gl2 import Evaluator, field_width, generic_matrix, is_identity_gl2
 from .lie_core import (
     LieMonomial,
     LiePoly,
@@ -196,7 +199,7 @@ class Component:
     ``monomials[i]`` is the left-normalized monomial on ``index.labels[i]``;
     ``vectors[i]`` is its expansion in the shared frame.  ``basis`` is the
     greedily independent subset of ``monomials``, in order: a basis of the
-    component.
+    component, with expansions ``basis_vectors``.
     """
 
     multidegree: MultiDeg
@@ -205,10 +208,16 @@ class Component:
     vectors: tuple[int, ...]
     space: GF2Subspace
     basis: tuple[LieMonomial, ...]
+    basis_vectors: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    @functools.cached_property
+    def solver(self) -> SpanSolver:
+        """Expresses an expansion vector in ``basis``; built on first use."""
+        return SpanSolver(self.index, self.basis_vectors)
 
 
 def component(md: MultiDeg) -> Component:
@@ -222,8 +231,10 @@ def component(md: MultiDeg) -> Component:
     monos = monomials_of(md)
     vectors = tuple(expansion_vector(idx, m) for m in monos)
     ech = Echelon(idx)
-    basis = tuple(m for m, v in zip(monos, vectors) if ech.insert(v))
-    comp = Component(md, idx, monos, vectors, GF2Subspace(ech), basis)
+    keep = [k for k, v in enumerate(vectors) if ech.insert(v)]
+    comp = Component(md, idx, monos, vectors, GF2Subspace(ech),
+                     tuple(monos[k] for k in keep),
+                     tuple(vectors[k] for k in keep))
     _COMPONENT_CACHE[md] = comp
     return comp
 
@@ -233,15 +244,14 @@ def lie_poly_from_vector(md: MultiDeg, vec: int) -> LiePoly:
     its unique expression in ``Component.basis``.
 
     ``solve_in_span`` over every monomial gives the same expression, as it
-    uses only the greedily independent ones, which are that basis.
+    uses only the greedily independent ones, which are that basis.  One
+    solver per component serves every vector.
     """
     comp = component(md)
-    basis = set(comp.basis)
-    pairs = [(m, v) for m, v in zip(comp.monomials, comp.vectors) if m in basis]
-    sol = solve_in_span(comp.index, [v for _, v in pairs], vec)
+    sol = comp.solver.solve(vec)
     if sol is None:
         raise ValueError("vector is not the expansion of a Lie element")
-    return LiePoly.of(*(pairs[i][0] for i in sol))
+    return LiePoly.of(*(comp.basis[i] for i in sol))
 
 
 # ---------------------------------------------------------------------------
@@ -410,32 +420,34 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
 
 def identities(md: MultiDeg) -> GF2Subspace:
     """The md-component of the ideal of gl2 identities, as the kernel of the
-    generic-matrix evaluation of the spanning monomials."""
+    generic-matrix evaluation of a basis of the component.
+
+    Evaluating only ``Component.basis`` is exact: every element of the
+    component is a unique sum of basis monomials, so the coefficient vectors
+    whose sums evaluate to zero map one-to-one onto the identities.  Each
+    constraint row is one packed monomial of one matrix entry; its bit k is
+    that monomial's coefficient in the value of basis monomial k.
+    """
     check_degree_cap(md.total)
     got = _IDENT_CACHE.get(md)
     if got is not None:
         return got
     comp = component(md)
-    monos = comp.monomials
-    coeff_frame = WordIndex(tuple(range(len(monos))))
-    evaluator = Evaluator({i: generic_matrix(i) for i in md.indices()})
-    constraint_rows: dict[tuple[int, tuple], int] = {}
-    for k, mono in enumerate(monos):
-        value = evaluator.monomial(mono)
-        for pos, entry in enumerate(value.entries()):
-            for poly_mono in entry.monos:
-                key = (pos, poly_mono)
-                constraint_rows[key] = constraint_rows.get(key, 0) | (1 << k)
-    coeff_kernel = kernel(coeff_frame, constraint_rows.values())
+    width = field_width(max(d for _, d in md.items()))
+    evaluator = Evaluator({i: generic_matrix(k + 1, width)
+                           for k, i in enumerate(md.indices())})
+    rows: dict[int, int] = {}
+    for k, mono in enumerate(comp.basis):
+        for pos, entry in enumerate(evaluator.monomial(mono)):
+            for packed in entry:
+                key = packed << 2 | pos
+                rows[key] = rows.get(key, 0) | 1 << k
+    coeff_kernel = kernel(WordIndex(range(len(comp.basis))), rows.values())
     word_vectors = []
     for sol in coeff_kernel.basis_vectors():
         v = 0
-        i = 0
-        while sol:
-            if sol & 1:
-                v ^= comp.vectors[i]
-            sol >>= 1
-            i += 1
+        for k in bit_positions(sol):
+            v ^= comp.basis_vectors[k]
         word_vectors.append(v)
     result = span(comp.index, word_vectors)
     _IDENT_CACHE[md] = result
@@ -644,12 +656,8 @@ def identity_preimage_space(n: int) -> GF2Subspace:
                  for lab in labels]
     rows_by_pos: dict[int, int] = {}
     for li, residual in enumerate(residuals):
-        pos = 0
-        while residual:
-            if residual & 1:
-                rows_by_pos[pos] = rows_by_pos.get(pos, 0) | (1 << li)
-            residual >>= 1
-            pos += 1
+        for pos in bit_positions(residual):
+            rows_by_pos[pos] = rows_by_pos.get(pos, 0) | (1 << li)
     return kernel(frame, rows_by_pos.values())
 
 

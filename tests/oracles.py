@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against different data structures
 than the package: ranks by set-based elimination (not int bitsets), matrix
-evaluation with plain 0/1 tuples (not polynomial entries), permutations via
-itertools.  Expected values in the tests are computed with these.
+evaluation with plain 0/1 tuples, generic matrices with tuple monomials and
+plain matrix products (not packed ints and the commutator formula),
+permutations via itertools.  Expected values in the tests are computed with these.
 """
 
 from __future__ import annotations
@@ -96,6 +97,70 @@ def is_identity_multilinear(p, n) -> bool:
         if any(eval_poly(p, assign)):
             return False
     return True
+
+
+# --- generic matrices over GF(2)[v], monomials as plain tuples -------------
+# A monomial is a sorted tuple of (indeterminate, exponent) pairs, a
+# polynomial a frozenset of monomials, a matrix a 4-tuple of polynomials.
+# Matrix products are the plain row-by-column products.
+
+def tuple_monomial(exponents):
+    """The tuple monomial of an {indeterminate: exponent} dict."""
+    return tuple(sorted((v, e) for v, e in exponents.items() if e))
+
+
+def _tuple_poly_mul(a, b):
+    out = set()
+    for x in a:
+        for y in b:
+            exps = dict(x)
+            for v, e in y:
+                exps[v] = exps.get(v, 0) + e
+            out ^= {tuple_monomial(exps)}
+    return frozenset(out)
+
+
+def _tuple_mat_mul(x, y):
+    def dot(a, b, c, d):
+        return _tuple_poly_mul(a, b) ^ _tuple_poly_mul(c, d)
+    return (dot(x[0], y[0], x[1], y[2]), dot(x[0], y[1], x[1], y[3]),
+            dot(x[2], y[0], x[3], y[2]), dot(x[2], y[1], x[3], y[3]))
+
+
+def _tuple_lie(x, y):
+    return tuple(a ^ b for a, b in zip(_tuple_mat_mul(x, y), _tuple_mat_mul(y, x)))
+
+
+def eval_generic(p, centre=True, trace_zero=False):
+    """Value of p at generic matrices.  x_i has q and r (indeterminates
+    3(i-1) and 3(i-1)+1) in positions 12 and 21, s (3(i-1)+2) in position 22
+    unless trace_zero, and with the centre an indeterminate -i added in
+    positions 11 and 22."""
+    def var(v):
+        return frozenset(((((v, 1),),)))
+
+    def generic(i):
+        q, r, s = (var(3 * (i - 1) + k) for k in range(3))
+        if trace_zero:
+            s = frozenset()
+        p_i = var(-i) if centre else frozenset()
+        return (p_i, q, r, s ^ p_i)
+
+    def ev(m):
+        if m.is_leaf:
+            return generic(m.index)
+        return _tuple_lie(ev(m.left), ev(m.right))
+
+    total = (frozenset(),) * 4
+    for m in p.monomials:
+        total = tuple(a ^ b for a, b in zip(total, ev(m)))
+    return total
+
+
+def is_identity_generic(p, trace_zero=False) -> bool:
+    """Identity test at the full generic matrices, centre included: of gl2,
+    or with trace_zero of its trace-zero part."""
+    return not any(eval_generic(p, centre=True, trace_zero=trace_zero))
 
 
 def distinct_permutations(items):

@@ -199,7 +199,7 @@ def strip_elapsed(report):
 
 
 # The recorded reports pin the --json output byte for byte, apart from
-# elapsed_s: the basis printouts go through solve_in_span, the polarized
+# elapsed_s: the basis printouts go through Component.solver, the polarized
 # generator through the polarization closure, and the lemma details through
 # the suites of LEMMAS.
 RECORDED = {

@@ -9,20 +9,26 @@ from lieid.eval_gl2 import (
     B_MAT,
     BC_MAT,
     C_MAT,
-    PolyGF2,
+    ZERO,
     evaluate,
+    field_width,
     generic_matrix,
     generic_matrix_sl2,
     is_identity_gl2,
     is_identity_sl2,
     lie_mat,
+    poly_mul,
     sub_ij,
+    variable,
 )
 from lieid.expr import parse
 from lieid.lie_core import (
     DegreeCapError,
     LiePoly,
     bracket,
+    get_degree_cap,
+    leaf,
+    substitute,
     word_monomial,
 )
 from lieid.tideal import (
@@ -34,6 +40,19 @@ from lieid.tideal import (
 )
 
 import oracles
+
+
+def _exponents(packed, width):
+    """The exponent vector of a packed monomial, as {field: exponent}."""
+    mask = (1 << width) - 1
+    out = {}
+    field = 0
+    while packed:
+        if packed & mask:
+            out[field] = packed & mask
+        packed >>= width
+        field += 1
+    return out
 
 
 class TestLieMat:
@@ -52,19 +71,22 @@ class TestLieMat:
 
 
 class TestGenericMatrix:
-    def test_entries_are_four_fresh_variables(self):
-        g = generic_matrix(1)
-        monos = set()
-        for e in g.entries():
-            assert len(e.monos) == 1
-            (mono,) = e.monos
-            assert len(mono) == 1 and mono[0][1] == 1  # degree-one, no constant
-            monos.add(mono)
-        assert len(monos) == 4
+    def test_entries_are_zero_and_three_fresh_variables(self):
+        g = generic_matrix(1, width=3)
+        assert g.e11 == ZERO  # the central part is dropped
+        fields = set()
+        for e in (g.e12, g.e21, g.e22):
+            assert len(e) == 1
+            (mono,) = e
+            exps = _exponents(mono, 3)
+            assert list(exps.values()) == [1]  # degree-one, no constant
+            fields.update(exps)
+        assert len(fields) == 3
 
     def test_distinct_indices_share_no_variables(self):
+        w = field_width(get_degree_cap())
         vars_of = lambda g: {
-            var for e in g.entries() for mono in e.monos for var, _ in mono
+            var for e in g.entries() for mono in e for var in _exponents(mono, w)
         }
         assert vars_of(generic_matrix(1)) & vars_of(generic_matrix(2)) == set()
 
@@ -131,6 +153,50 @@ class TestIdentityGl2:
         with pytest.raises(DegreeCapError):
             is_identity_gl2(word_pair_element(3))
 
+    def test_multiplicity_sixteen_matches_tuple_evaluator(self, degree_cap_guard):
+        # exponents of 16 need five bits a field; a fixed four-bit field
+        # would carry into the next indeterminate
+        degree_cap_guard(24)
+        cases = [
+            (parse("x2 " + " ".join(["x1"] * 16)), False),
+            (LiePoly.of(word_monomial([2] + [1] * 8 + [3] + [1] * 8)), False),
+            # instances of (a) and (b) with x1 sixteen times
+            (substitute(BASE_RELATION, {1: word_monomial([2] + [1] * 8),
+                                        2: word_monomial([3] + [1] * 8),
+                                        3: leaf(3), 4: leaf(4), 5: leaf(5)}),
+             True),
+            (substitute(word_pair_element(3),
+                        {1: leaf(1), 2: leaf(2),
+                         3: word_monomial([3] + [1] * 14)}), True),
+        ]
+        for p, expected in cases:
+            assert max(m for _, m in p.multidegree().items()) >= 16
+            assert oracles.is_identity_generic(p) is expected
+            assert is_identity_gl2(p) is expected
+            n = max(p.support())
+            w = field_width(get_degree_cap())
+            value = evaluate(p, {i: generic_matrix(i, w) for i in range(1, n + 1)})
+            reference = oracles.eval_generic(p, centre=False)
+            decoded = tuple(
+                frozenset(oracles.tuple_monomial(_exponents(mono, w)) for mono in e)
+                for e in value
+            )
+            assert decoded == reference
+
+
+@pytest.mark.parametrize("text", [
+    "x1", "x1 + x1 x2", "x1 x2 x3 + x2 x3 x1 + x3 x1 x2",
+    "x1 x2 x3 + x2 x3 x1 + x3 x1 x2 + x2", "x1 x2 x3", "x1 x2 x3 + x3",
+    "(x1 x2)(x3 x4) + (x1 x3)(x2 x4) + (x1 x4)(x2 x3)",
+    "(x1 x2)(x3 x4) + (x1 x3)(x2 x4) + (x1 x4)(x2 x3) + x4",
+    "(x1 x2)(x3 x4) x5 + x5 + x1 x2", "(x1 x2)(x1 x2 x3)",
+])
+def test_centre_free_verdicts_match_full_generic_matrices(text):
+    # the centre-free matrices rest on the degree-one terms, so mix them in
+    p = parse(text)
+    assert is_identity_gl2(p) == oracles.is_identity_generic(p)
+    assert is_identity_sl2(p) == oracles.is_identity_generic(p, trace_zero=True)
+
 
 class TestSubIj:
     def test_single_bracket_value(self):
@@ -182,17 +248,19 @@ class TestIdentitySl2:
 
 class TestPolyGF2:
     def test_char_two_addition(self):
-        v = PolyGF2.variable(0)
-        assert (v + v).is_zero()
+        v = variable(0, 2)
+        assert not (v ^ v)
 
     def test_multiplication_merges_exponents(self):
-        v = PolyGF2.variable(0)
-        vv = v * v
-        assert vv.monos == frozenset((((0, 2),),))
+        v = variable(0, 2)
+        (vv,) = poly_mul(v, v)
+        assert _exponents(vv, 2) == {0: 2}
+        (mixed,) = poly_mul(poly_mul(v, variable(1, 2)), v)
+        assert _exponents(mixed, 2) == {0: 2, 1: 1}
 
     def test_distributive(self):
-        a, b, c = (PolyGF2.variable(i) for i in range(3))
-        assert (a + b) * c == a * c + b * c
+        a, b, c = (variable(i, 2) for i in range(3))
+        assert poly_mul(a ^ b, c) == poly_mul(a, c) ^ poly_mul(b, c)
 
 
 def test_multilinear_oracle_agreement_sample():

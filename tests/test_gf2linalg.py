@@ -8,6 +8,7 @@ from lieid.gf2linalg import (
     Echelon,
     GF2Subspace,
     WordIndex,
+    bit_positions,
     kernel,
     solve_in_span,
     span,
@@ -178,18 +179,14 @@ def _intersection_dim(idx, a, b):
     unknowns = WordIndex(tuple(range(len(ua) + len(ub))))
     rows_by_pos = {}
     for j, v in enumerate(list(ua) + list(ub)):
-        pos = 0
-        while v:
-            if v & 1:
-                rows_by_pos[pos] = rows_by_pos.get(pos, 0) | (1 << j)
-            v >>= 1
-            pos += 1
+        for pos in bit_positions(v):
+            rows_by_pos[pos] = rows_by_pos.get(pos, 0) | (1 << j)
     ker = kernel(unknowns, rows_by_pos.values())
     vecs = []
     for sol in ker.basis_vectors():
         v = 0
-        for j in range(len(ua)):
-            if (sol >> j) & 1:
+        for j in bit_positions(sol):
+            if j < len(ua):
                 v ^= ua[j]
         vecs.append(v)
     return span(idx, vecs).dim
@@ -248,6 +245,12 @@ class TestSolveInSpan:
             solve_in_span(idx, [0b100], 0b1)
         with pytest.raises(ValueError):
             solve_in_span(idx, [0b1], 0b100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 200))
+def test_bit_positions_lists_the_set_bits(v):
+    assert bit_positions(v) == [i for i in range(v.bit_length()) if (v >> i) & 1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,39 @@ class TestIdentities:
             p = LiePoly.of(*rng.sample(comp.monomials, 2))
             c = lie_poly_from_vector(md, rng.choice(cons.basis_vectors()))
             assert is_identity_gl2(p) == is_identity_gl2(p + c)
+
+
+# sha256 of the hex RREF basis of identities(md), one line per row, at every
+# canonical multidegree of total degree <= 7, recorded from the evaluation of
+# every left-normalized monomial at full four-entry generic matrices
+IDENTITY_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "identity_digests.json").read_text())
+SLOW_DIGESTS = ("1,1,1,1,1,1,1", "2,1,1,1,1,1")
+
+
+def _check_identity_digest(key):
+    md = MultiDeg({i + 1: int(m) for i, m in enumerate(key.split(","))})
+    ids = identities(md)
+    text = "\n".join(format(v, "x") for v in ids.basis_vectors())
+    assert ids.dim == IDENTITY_DIGESTS[key]["dim"]
+    assert hashlib.sha256(text.encode()).hexdigest() == IDENTITY_DIGESTS[key]["sha256"]
+
+
+class TestIdentityDigests:
+    def test_every_canonical_multidegree_is_recorded(self):
+        keys = {",".join(str(m) for _, m in md.items())
+                for md in canonical_multidegrees(1, 7)}
+        assert set(IDENTITY_DIGESTS) == keys
+
+    @pytest.mark.parametrize(
+        "key", [k for k in IDENTITY_DIGESTS if k not in SLOW_DIGESTS])
+    def test_identities_match_recorded_digest(self, key):
+        _check_identity_digest(key)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("key", SLOW_DIGESTS)
+    def test_largest_identities_match_recorded_digest(self, key):
+        _check_identity_digest(key)
 
 
 class TestTripleIdentity:
