@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .lie_core import (
-    LieMonomial,
+    Evaluator,
     PolyLike,
     as_poly,
     check_degree_cap,
@@ -37,6 +37,7 @@ __all__ = [
     "poly_mul",
     "field_width",
     "GMat2",
+    "ZERO_MAT",
     "A_MAT",
     "B_MAT",
     "C_MAT",
@@ -44,7 +45,6 @@ __all__ = [
     "lie_mat",
     "generic_matrix",
     "generic_matrix_sl2",
-    "Evaluator",
     "evaluate",
     "is_identity_gl2",
     "sub_ij",
@@ -89,9 +89,6 @@ class GMat2(NamedTuple):
     def from_bits(cls, e11: int, e12: int, e21: int, e22: int) -> "GMat2":
         pick = lambda b: ONE if b else ZERO
         return cls(pick(e11), pick(e12), pick(e21), pick(e22))
-
-    def entries(self) -> tuple[frozenset[int], ...]:
-        return tuple(self)
 
     def __add__(self, other: "GMat2") -> "GMat2":
         return GMat2(*(x ^ y for x, y in zip(self, other)))
@@ -161,38 +158,9 @@ def generic_matrix_sl2(i: int, width: Optional[int] = None) -> GMat2:
     return GMat2(ZERO, variable(base, w), variable(base + 1, w), ZERO)
 
 
-class Evaluator:
-    """Evaluate monomials and polynomials under one fixed assignment,
-    caching monomial values so shared subtrees are computed once."""
-
-    def __init__(self, assign: Mapping[int, GMat2]):
-        self.assign = dict(assign)
-        self._cache: dict[LieMonomial, GMat2] = {}
-
-    def monomial(self, m: LieMonomial) -> GMat2:
-        got = self._cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf:
-            try:
-                result = self.assign[m.index]
-            except KeyError:
-                raise ValueError(f"no matrix assigned to x{m.index}") from None
-        else:
-            result = lie_mat(self.monomial(m.left), self.monomial(m.right))
-        self._cache[m] = result
-        return result
-
-    def poly(self, p: PolyLike) -> GMat2:
-        acc = ZERO_MAT
-        for m in as_poly(p).monomials:
-            acc = acc + self.monomial(m)
-        return acc
-
-
 def evaluate(p: PolyLike, assign: Mapping[int, GMat2]) -> GMat2:
     """Evaluate with bracket nodes mapped to lie_mat and sums entrywise."""
-    return Evaluator(assign).poly(p)
+    return Evaluator(assign, lie_mat, ZERO_MAT).poly(p)
 
 
 def _vanishes_generically(p: PolyLike,

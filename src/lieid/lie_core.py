@@ -10,7 +10,8 @@ embeds faithfully.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import (Callable, Generic, Iterable, Iterator, Mapping, Sequence,
+                    TypeVar, Union)
 
 __all__ = [
     "DegreeCapError",
@@ -24,7 +25,9 @@ __all__ = [
     "word_monomial",
     "as_poly",
     "bracket",
+    "Evaluator",
     "multidegree",
+    "commutator",
     "assoc_expand",
     "is_zero",
     "substitute",
@@ -399,6 +402,47 @@ def bracket(p: PolyLike, q: PolyLike) -> LiePoly:
     return LiePoly(frozenset(acc))
 
 
+T = TypeVar("T")
+
+
+class Evaluator(Generic[T]):
+    """Evaluate bracket trees under one fixed assignment of the generators:
+    leaves take ``assign[i]``, bracket nodes ``bracket(left, right)`` and
+    sums start from ``zero``.  Monomial values are cached, so subtrees
+    shared within and across the evaluated monomials are computed once.
+
+    Substitution (values in the free Lie algebra), generic-matrix evaluation
+    and the associative evaluation of consequence instances all use it.
+    """
+
+    def __init__(self, assign: Mapping[int, T], bracket: Callable[[T, T], T],
+                 zero: T):
+        self.assign = assign
+        self.bracket = bracket
+        self.zero = zero
+        self._cache: dict[LieMonomial, T] = {}
+
+    def monomial(self, m: LieMonomial) -> T:
+        got = self._cache.get(m)
+        if got is not None:
+            return got
+        if m.is_leaf:
+            try:
+                result = self.assign[m.index]
+            except KeyError:
+                raise ValueError(f"no value assigned to x{m.index}") from None
+        else:
+            result = self.bracket(self.monomial(m.left), self.monomial(m.right))
+        self._cache[m] = result
+        return result
+
+    def poly(self, p: PolyLike) -> T:
+        acc = self.zero
+        for m in as_poly(p).monomials:
+            acc = acc + self.monomial(m)
+        return acc
+
+
 # Expansions of fully left-normalized monomials are shared heavily across
 # component and consequence-span construction, so they are cached; other
 # bracket shapes are typically evaluated once and are recomputed to keep the
@@ -414,6 +458,11 @@ def _concat(a: AssocPoly, b: AssocPoly) -> frozenset[tuple[int, ...]]:
     return frozenset(acc)
 
 
+def commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
+    """The associative commutator ab + ba, reduced over GF(2)."""
+    return AssocPoly(_concat(a, b) ^ _concat(b, a))
+
+
 def _expand_monomial(m: LieMonomial) -> AssocPoly:
     if m.is_word:
         cached = _EXPAND_CACHE.get(m)
@@ -422,9 +471,7 @@ def _expand_monomial(m: LieMonomial) -> AssocPoly:
     if m.is_leaf:
         result = AssocPoly(frozenset(((m.index,),)))
     else:
-        a = _expand_monomial(m.left)
-        b = _expand_monomial(m.right)
-        result = AssocPoly(_concat(a, b) ^ _concat(b, a))
+        result = commutator(_expand_monomial(m.left), _expand_monomial(m.right))
     if m.is_word:
         _EXPAND_CACHE[m] = result
     return result
@@ -450,30 +497,8 @@ def is_zero(p: PolyLike) -> bool:
 
 def substitute(p: PolyLike, s: Mapping[int, PolyLike]) -> LiePoly:
     """Simultaneous substitution x_i -> s[i], expanded multilinearly."""
-    pp = as_poly(p)
     polys = {i: as_poly(v) for i, v in s.items()}
-    cache: dict[LieMonomial, LiePoly] = {}
-
-    def rec(m: LieMonomial) -> LiePoly:
-        got = cache.get(m)
-        if got is not None:
-            return got
-        if m.is_leaf:
-            try:
-                result = polys[m.index]
-            except KeyError:
-                raise ValueError(
-                    f"no substitution given for x{m.index}"
-                ) from None
-        else:
-            result = bracket(rec(m.left), rec(m.right))
-        cache[m] = result
-        return result
-
-    acc = LiePoly.ZERO
-    for m in pp.monomials:
-        acc = acc + rec(m)
-    return acc
+    return Evaluator(polys, bracket, LiePoly.ZERO).poly(p)
 
 
 def _degree_in(p: LiePoly, v: int) -> int:

@@ -26,8 +26,16 @@ from .gf2linalg import (
     solve_in_span,
     span,
 )
-from .eval_gl2 import Evaluator, field_width, generic_matrix, is_identity_gl2
+from .eval_gl2 import (
+    ZERO_MAT,
+    field_width,
+    generic_matrix,
+    is_identity_gl2,
+    lie_mat,
+)
 from .lie_core import (
+    AssocPoly,
+    Evaluator,
     LieMonomial,
     LiePoly,
     MultiDeg,
@@ -35,6 +43,7 @@ from .lie_core import (
     as_poly,
     assoc_expand,
     check_degree_cap,
+    commutator,
     is_zero,
     leaf,
     left_norm,
@@ -120,10 +129,10 @@ class GeneratorSet:
     polarize_closure: bool = True
 
 
-def generator_set(polys: Iterable[PolyLike], polarize_closure: bool = True,
-                  prefix: str = "g") -> GeneratorSet:
+def generator_set(polys: Iterable[PolyLike],
+                  polarize_closure: bool = True) -> GeneratorSet:
     gens = tuple(
-        Generator(f"{prefix}{i + 1}", as_poly(p)) for i, p in enumerate(polys)
+        Generator(f"g{i + 1}", as_poly(p)) for i, p in enumerate(polys)
     )
     return GeneratorSet(gens, polarize_closure)
 
@@ -295,14 +304,6 @@ def _polarization_closure(p: LiePoly) -> tuple[LiePoly, ...]:
     return result
 
 
-def _tail_step(words: Iterable[tuple[int, ...]], letter: int) -> set[tuple[int, ...]]:
-    acc: set[tuple[int, ...]] = set()
-    for w in words:
-        acc.symmetric_difference_update((w + (letter,),))
-        acc.symmetric_difference_update(((letter,) + w,))
-    return acc
-
-
 def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]:
     """Expansion vectors of multidegree-md elements of the form
     L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
@@ -315,34 +316,33 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
     A slot in which L is linear takes only a basis of the component, since
     the instance is linear in that slot; a repeated slot takes every
     left-normalized monomial.
+
+    Each instance is evaluated directly in the free associative algebra,
+    slots taking the expansions of their fillers and bracket nodes the
+    commutator uv + vu.  Expansion is a Lie homomorphism, so this is the
+    expansion of the substituted Lie element, without building it.
     """
     slots = L.multidegree().items()
     n_slots = len(slots)
     suffix_min = [0] * (n_slots + 1)
     for k in range(n_slots - 1, -1, -1):
         suffix_min[k] = suffix_min[k + 1] + slots[k][1]
-    assignment: dict[int, LieMonomial] = {}
-
-    def emit(inst_words: frozenset, rem: MultiDeg) -> Iterator[int]:
-        if rem.total == 0:
-            yield idx.vector(inst_words)
-            return
-        for seq in _arrangements(rem):
-            words: Iterable[tuple[int, ...]] = inst_words
-            for letter in seq:
-                words = _tail_step(words, letter)
-                if not words:
-                    break
-            else:
-                yield idx.vector(words)
+    letters = {i: assoc_expand(leaf(i)) for i in md.indices()}
+    assignment: dict[int, AssocPoly] = {}
 
     def rec(k: int, remaining: MultiDeg) -> Iterator[int]:
         if k == n_slots:
-            inst = substitute(L, assignment)
-            expansion = assoc_expand(inst)
-            if expansion.is_zero():
+            value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
+            if value.is_zero():
                 return
-            yield from emit(expansion.words, remaining)
+            for seq in _arrangements(remaining):
+                tail = value
+                for letter in seq:
+                    tail = commutator(tail, letters[letter])
+                    if tail.is_zero():
+                        break
+                else:
+                    yield idx.vector(tail.words)
             return
         v, d = slots[k]
         largest = remaining.floor_div(d)
@@ -354,7 +354,7 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
             rest = remaining - mu.scaled(d)
             fillers = component(mu).basis if d == 1 else monomials_of(mu)
             for w in fillers:
-                assignment[v] = w
+                assignment[v] = assoc_expand(w)
                 yield from rec(k + 1, rest)
         assignment.pop(v, None)
 
@@ -435,7 +435,8 @@ def identities(md: MultiDeg) -> GF2Subspace:
     comp = component(md)
     width = field_width(max(d for _, d in md.items()))
     evaluator = Evaluator({i: generic_matrix(k + 1, width)
-                           for k, i in enumerate(md.indices())})
+                           for k, i in enumerate(md.indices())},
+                          lie_mat, ZERO_MAT)
     rows: dict[int, int] = {}
     for k, mono in enumerate(comp.basis):
         for pos, entry in enumerate(evaluator.monomial(mono)):
@@ -499,7 +500,7 @@ class GenerationReport:
     equal: bool
 
 
-def check_generation(md: MultiDeg, maxgen: Optional[int] = None) -> GenerationReport:
+def check_generation(md: MultiDeg) -> GenerationReport:
     """Compare the consequence span of the candidate generating set with the
     identity space at one multidegree.
 
@@ -511,11 +512,7 @@ def check_generation(md: MultiDeg, maxgen: Optional[int] = None) -> GenerationRe
     the rank of the identity space.  If some generator is not an identity,
     the consequences are enumerated in full.
     """
-    if maxgen is None:
-        maxgen = max(md.total, 4)
-    if maxgen < md.total:
-        raise ValueError(f"maxgen={maxgen} is below the total degree {md.total}")
-    gens = theorem_generators(maxgen)
+    gens = theorem_generators(max(md.total, 4))
     ids = identities(md)
     contributing = (g for g in gens.generators if g.total_degree <= md.total)
     within = ids if all(is_identity_gl2(g.poly) for g in contributing) else None
@@ -908,7 +905,10 @@ class CubeReport:
 def derived_cube_zero_check(total: int) -> CubeReport:
     """All brackets [[m1, m2], m3] of monomials of degree >= 2 vanish in the
     quotient; checked at every multidegree of the given total degree, up to
-    renaming."""
+    renaming.  Such brackets have total degree >= 6, so a smaller total
+    would pass over no instance at all and is refused."""
+    if total < 6:
+        raise ValueError(f"the cube check needs total degree >= 6, got {total}")
     check_degree_cap(total)
     count = 0
     all_zero = True

@@ -86,7 +86,7 @@ class TestGenericMatrix:
     def test_distinct_indices_share_no_variables(self):
         w = field_width(get_degree_cap())
         vars_of = lambda g: {
-            var for e in g.entries() for mono in e for var in _exponents(mono, w)
+            var for e in g for mono in e for var in _exponents(mono, w)
         }
         assert vars_of(generic_matrix(1)) & vars_of(generic_matrix(2)) == set()
 

@@ -11,6 +11,7 @@ from lieid.lie_core import (
     as_poly,
     assoc_expand,
     bracket,
+    commutator,
     is_zero,
     leaf,
     left_norm,
@@ -143,6 +144,13 @@ def test_anticommutativity_after_expansion(u, v):
 @given(monomials())
 def test_alternating_after_expansion(u):
     assert is_zero(bracket(u, u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials(), monomials())
+def test_commutator_of_expansions_is_expansion_of_bracket(u, v):
+    assert commutator(assoc_expand(u), assoc_expand(v)) == assoc_expand(
+        bracket(u, v))
 
 
 @settings(max_examples=40, deadline=None)

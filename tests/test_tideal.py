@@ -9,11 +9,14 @@ import pytest
 from lieid.eval_gl2 import is_identity_gl2
 from lieid.expr import parse
 from lieid.lie_core import (
+    AssocPoly,
     DegreeCapError,
+    Evaluator,
     LiePoly,
     MultiDeg,
     as_poly,
     assoc_expand,
+    commutator,
     leaf,
     pair,
     substitute,
@@ -406,10 +409,6 @@ class TestSpanChecks:
     def test_generation(self, md):
         assert check_generation(md).equal
 
-    def test_generation_respects_maxgen_precondition(self):
-        with pytest.raises(ValueError):
-            check_generation(MultiDeg.multilinear(5), maxgen=4)
-
 
 def _word_pair_family(polarize_closure=True):
     polys = [BASE_RELATION] + [word_pair_element(k) for k in (3, 4, 5)]
@@ -518,6 +517,39 @@ class TestFastPaths:
         assert naive_rank(rows + ref) == cons.dim, md
 
 
+class TestAssociativeInstances:
+    """Consequence instances are evaluated in the free associative algebra,
+    the slots taking the expansions of their fillers; that must equal the
+    expansion of the substituted Lie element."""
+
+    def test_equals_expanding_the_substitution(self, degree_cap_guard):
+        # every slot in turn takes each monomial of degree 2 and 3 on x1, x2,
+        # which the other slots' letters repeat; the largest instance has
+        # degree 12 (b6, of degree 8, with a cubic filler in a double slot)
+        degree_cap_guard(12)
+        polys = [g.poly for g in theorem_generators(6).generators]
+        polys += [g.poly for g in _word_pair_family().generators]
+        polys.append(parse("x2 x1 x1 x1"))
+        fillers = (monomials_of(MultiDeg({1: 1, 2: 1}))
+                   + monomials_of(MultiDeg({1: 2, 2: 1})))
+        checked = zero = 0
+        for L in {L for p in polys for L in tideal._polarization_closure(p)}:
+            slots = L.support()
+            for v in slots:
+                for w in fillers:
+                    assign = {u: leaf(u) for u in slots}
+                    assign[v] = w
+                    expanded = {u: assoc_expand(f) for u, f in assign.items()}
+                    direct = Evaluator(expanded, commutator,
+                                       AssocPoly.ZERO).poly(L)
+                    assert direct == assoc_expand(substitute(L, assign)), (
+                        L, assign)
+                    checked += 1
+                    zero += direct.is_zero()
+        assert checked > 1000
+        assert 0 < zero < checked
+
+
 class TestIndependence:
     def test_excluded_member_is_independent(self):
         rep = word_pair_independence(3)
@@ -552,6 +584,13 @@ class TestDerivedSpans:
         rep = derived_cube_zero_check(6)
         assert rep.all_zero
         assert rep.instances > 0
+
+    @pytest.mark.parametrize("total", [0, 3, 5])
+    def test_cube_check_below_degree_six_rejected(self, total):
+        # no bracket [[m1, m2], m3] of degree-2 monomials has total < 6, so
+        # the check would pass over zero instances
+        with pytest.raises(ValueError, match="6"):
+            derived_cube_zero_check(total)
 
 
 class TestMultidegreeIteration:
