@@ -22,6 +22,7 @@ from .lie_core import (
     DegreeCapError,
     LiePoly,
     MultiDeg,
+    check_degree_cap,
     get_degree_cap,
     is_zero,
     multidegree,
@@ -69,8 +70,10 @@ def _split_components(p: LiePoly) -> list[tuple[MultiDeg, LiePoly]]:
 
 
 def _check_max_total_degree(value: int) -> None:
+    """Refuse the value before any work is done below it."""
     if value < 1:
         raise ValueError(f"--max-total-degree must be at least 1, got {value}")
+    check_degree_cap(value)
 
 
 def _basis_printout(md: MultiDeg, space) -> list[str]:

@@ -10,8 +10,8 @@ embeds faithfully.
 from __future__ import annotations
 
 import itertools
-from typing import (Callable, Generic, Iterable, Iterator, Mapping, Sequence,
-                    TypeVar, Union)
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Generic, TypeVar, Union
 
 __all__ = [
     "DegreeCapError",
@@ -28,6 +28,7 @@ __all__ = [
     "Evaluator",
     "multidegree",
     "commutator",
+    "assoc_evaluator",
     "assoc_expand",
     "is_zero",
     "substitute",
@@ -74,7 +75,7 @@ class LieMonomial:
     one, the nested-tuple keys never compare int against tuple.
     """
 
-    __slots__ = ("index", "left", "right", "degree", "is_word", "key", "_hash")
+    __slots__ = ("index", "left", "right", "degree", "key", "_hash")
 
     def __init__(self, index=None, left=None, right=None):
         self.index = index
@@ -84,12 +85,9 @@ class LieMonomial:
             if index < 1:
                 raise ValueError(f"generator index must be >= 1, got {index}")
             self.degree = 1
-            self.is_word = True
             self.key = (1, index)
         else:
             self.degree = left.degree + right.degree
-            # "word" means fully left-normalized: every right child a leaf
-            self.is_word = left.is_word and right.is_leaf
             self.key = (self.degree, left.key, right.key)
         self._hash = hash(self.key)
 
@@ -213,9 +211,6 @@ class MultiDeg:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(idx for idx, _ in self._items)
-
-    def is_multilinear(self) -> bool:
-        return all(m == 1 for _, m in self._items)
 
     def __bool__(self) -> bool:
         return bool(self._items)
@@ -411,8 +406,9 @@ class Evaluator(Generic[T]):
     sums start from ``zero``.  Monomial values are cached, so subtrees
     shared within and across the evaluated monomials are computed once.
 
-    Substitution (values in the free Lie algebra), generic-matrix evaluation
-    and the associative evaluation of consequence instances all use it.
+    Substitution (values in the free Lie algebra), generic-matrix evaluation,
+    associative expansion and the evaluation of consequence instances all
+    use it.  The cache belongs to the instance, so it is freed with it.
     """
 
     def __init__(self, assign: Mapping[int, T], bracket: Callable[[T, T], T],
@@ -443,13 +439,6 @@ class Evaluator(Generic[T]):
         return acc
 
 
-# Expansions of fully left-normalized monomials are shared heavily across
-# component and consequence-span construction, so they are cached; other
-# bracket shapes are typically evaluated once and are recomputed to keep the
-# cache bounded.
-_EXPAND_CACHE: dict[LieMonomial, AssocPoly] = {}
-
-
 def _concat(a: AssocPoly, b: AssocPoly) -> frozenset[tuple[int, ...]]:
     acc: set[tuple[int, ...]] = set()
     for u in a.words:
@@ -463,18 +452,16 @@ def commutator(a: AssocPoly, b: AssocPoly) -> AssocPoly:
     return AssocPoly(_concat(a, b) ^ _concat(b, a))
 
 
-def _expand_monomial(m: LieMonomial) -> AssocPoly:
-    if m.is_word:
-        cached = _EXPAND_CACHE.get(m)
-        if cached is not None:
-            return cached
-    if m.is_leaf:
-        result = AssocPoly(frozenset(((m.index,),)))
-    else:
-        result = commutator(_expand_monomial(m.left), _expand_monomial(m.right))
-    if m.is_word:
-        _EXPAND_CACHE[m] = result
-    return result
+def assoc_evaluator(indices: Iterable[int]) -> Evaluator[AssocPoly]:
+    """A fresh evaluator expanding bracket trees on the letters ``indices``
+    as [u, v] -> uv + vu.
+
+    Its subtree cache lives as long as the evaluator: a caller expanding a
+    batch of related monomials owns one for the batch and drops it with the
+    batch, so no expansion outlives the work that needed it.
+    """
+    letters = {i: AssocPoly(frozenset(((i,),))) for i in indices}
+    return Evaluator(letters, commutator, AssocPoly.ZERO)
 
 
 def assoc_expand(p: PolyLike) -> AssocPoly:
@@ -483,11 +470,9 @@ def assoc_expand(p: PolyLike) -> AssocPoly:
     The result is zero exactly when p is zero in the free Lie algebra.
     """
     pp = as_poly(p)
-    acc: frozenset[tuple[int, ...]] = frozenset()
     for m in pp.monomials:
         check_degree_cap(m.degree)
-        acc = acc.symmetric_difference(_expand_monomial(m).words)
-    return AssocPoly(acc)
+    return assoc_evaluator(pp.support()).poly(pp)
 
 
 def is_zero(p: PolyLike) -> bool:

@@ -41,6 +41,7 @@ from .lie_core import (
     MultiDeg,
     PolyLike,
     as_poly,
+    assoc_evaluator,
     assoc_expand,
     check_degree_cap,
     commutator,
@@ -144,18 +145,17 @@ BASE_SET = GeneratorSet((Generator("base", as_poly(BASE_RELATION)),))
 # ---------------------------------------------------------------------------
 # enumeration and caches
 
-_MONOMIALS_CACHE: dict[MultiDeg, tuple[LieMonomial, ...]] = {}
-_INDEX_CACHE: dict[MultiDeg, WordIndex] = {}
+# These three check the degree cap before the lookup, so they are explicit.
 _COMPONENT_CACHE: dict[MultiDeg, "Component"] = {}
 _CONSEQ_CACHE: dict[tuple[GeneratorSet, MultiDeg], GF2Subspace] = {}
 _IDENT_CACHE: dict[MultiDeg, GF2Subspace] = {}
-_CLOSURE_CACHE: dict[LiePoly, tuple[LiePoly, ...]] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_MONOMIALS_CACHE, _INDEX_CACHE, _COMPONENT_CACHE,
-                  _CONSEQ_CACHE, _IDENT_CACHE, _CLOSURE_CACHE):
+    for cache in (_COMPONENT_CACHE, _CONSEQ_CACHE, _IDENT_CACHE):
         cache.clear()
+    for memo in (monomials_of, word_index, _polarization_closure):
+        memo.cache_clear()
 
 
 def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
@@ -179,22 +179,16 @@ def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
+@functools.cache
 def monomials_of(md: MultiDeg) -> tuple[LieMonomial, ...]:
     """All left-normalized monomials with leaf multiset md."""
-    got = _MONOMIALS_CACHE.get(md)
-    if got is None:
-        got = tuple(word_monomial(seq) for seq in _arrangements(md))
-        _MONOMIALS_CACHE[md] = got
-    return got
+    return tuple(word_monomial(seq) for seq in _arrangements(md))
 
 
+@functools.cache
 def word_index(md: MultiDeg) -> WordIndex:
     """The shared coordinate frame at md: every word of that multidegree."""
-    got = _INDEX_CACHE.get(md)
-    if got is None:
-        got = WordIndex(tuple(_arrangements(md)))
-        _INDEX_CACHE[md] = got
-    return got
+    return WordIndex(tuple(_arrangements(md)))
 
 
 def expansion_vector(idx: WordIndex, p: PolyLike) -> int:
@@ -205,23 +199,21 @@ def expansion_vector(idx: WordIndex, p: PolyLike) -> int:
 class Component:
     """A multidegree-graded piece of the free Lie algebra.
 
-    ``monomials[i]`` is the left-normalized monomial on ``index.labels[i]``;
-    ``vectors[i]`` is its expansion in the shared frame.  ``basis`` is the
-    greedily independent subset of ``monomials``, in order: a basis of the
-    component, with expansions ``basis_vectors``.
+    ``monomials[i]`` is the left-normalized monomial on ``index.labels[i]``.
+    ``basis`` is the greedily independent subset of ``monomials``, in order:
+    a basis of the component, with expansions ``basis_vectors`` in the
+    shared frame.
     """
 
     multidegree: MultiDeg
     index: WordIndex
     monomials: tuple[LieMonomial, ...]
-    vectors: tuple[int, ...]
-    space: GF2Subspace
     basis: tuple[LieMonomial, ...]
     basis_vectors: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.basis)
 
     @functools.cached_property
     def solver(self) -> SpanSolver:
@@ -230,6 +222,8 @@ class Component:
 
 
 def component(md: MultiDeg) -> Component:
+    """The component at md.  Each monomial is expanded on its own: one
+    evaluator over all of them would hold every subtree at once."""
     if md.total < 1:
         raise ValueError("component requires total degree >= 1")
     check_degree_cap(md.total)
@@ -238,12 +232,14 @@ def component(md: MultiDeg) -> Component:
         return got
     idx = word_index(md)
     monos = monomials_of(md)
-    vectors = tuple(expansion_vector(idx, m) for m in monos)
     ech = Echelon(idx)
-    keep = [k for k, v in enumerate(vectors) if ech.insert(v)]
-    comp = Component(md, idx, monos, vectors, GF2Subspace(ech),
-                     tuple(monos[k] for k in keep),
-                     tuple(vectors[k] for k in keep))
+    basis, basis_vectors = [], []
+    for m in monos:
+        vec = expansion_vector(idx, m)
+        if ech.insert(vec):
+            basis.append(m)
+            basis_vectors.append(vec)
+    comp = Component(md, idx, monos, tuple(basis), tuple(basis_vectors))
     _COMPONENT_CACHE[md] = comp
     return comp
 
@@ -272,12 +268,10 @@ def _canonical_variables(p: LiePoly) -> LiePoly:
     return substitute(p, renaming)
 
 
+@functools.cache
 def _polarization_closure(p: LiePoly) -> tuple[LiePoly, ...]:
     """p together with all iterated partial linearizations, variables
     canonically renumbered, duplicates and expansion-zero results dropped."""
-    got = _CLOSURE_CACHE.get(p)
-    if got is not None:
-        return got
     start = _canonical_variables(p)
     seen: dict[LiePoly, None] = {}
     queue = [start]
@@ -299,12 +293,11 @@ def _polarization_closure(p: LiePoly) -> tuple[LiePoly, ...]:
                 if pol.is_formal_zero() or is_zero(pol):
                     continue
                 queue.append(_canonical_variables(pol))
-    result = tuple(seen)
-    _CLOSURE_CACHE[p] = result
-    return result
+    return tuple(seen)
 
 
-def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]:
+def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
+                      expander: Evaluator[AssocPoly]) -> Iterator[int]:
     """Expansion vectors of multidegree-md elements of the form
     L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
     same space as all such elements with the w's left-normalized monomials.
@@ -320,14 +313,15 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
     Each instance is evaluated directly in the free associative algebra,
     slots taking the expansions of their fillers and bracket nodes the
     commutator uv + vu.  Expansion is a Lie homomorphism, so this is the
-    expansion of the substituted Lie element, without building it.
+    expansion of the substituted Lie element, without building it.  Fillers
+    and letters come from ``expander``, the batch's own evaluator, so a
+    filler shared by many instances and forms is expanded once.
     """
     slots = L.multidegree().items()
     n_slots = len(slots)
     suffix_min = [0] * (n_slots + 1)
     for k in range(n_slots - 1, -1, -1):
         suffix_min[k] = suffix_min[k + 1] + slots[k][1]
-    letters = {i: assoc_expand(leaf(i)) for i in md.indices()}
     assignment: dict[int, AssocPoly] = {}
 
     def rec(k: int, remaining: MultiDeg) -> Iterator[int]:
@@ -338,7 +332,7 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
             for seq in _arrangements(remaining):
                 tail = value
                 for letter in seq:
-                    tail = commutator(tail, letters[letter])
+                    tail = commutator(tail, expander.assign[letter])
                     if tail.is_zero():
                         break
                 else:
@@ -354,7 +348,7 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex) -> Iterator[int]
             rest = remaining - mu.scaled(d)
             fillers = component(mu).basis if d == 1 else monomials_of(mu)
             for w in fillers:
-                assignment[v] = assoc_expand(w)
+                assignment[v] = expander.monomial(w)
                 yield from rec(k + 1, rest)
         assignment.pop(v, None)
 
@@ -404,6 +398,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
                          idx: WordIndex) -> Iterator[int]:
     """Instance vectors spanning the consequences, highest degree first."""
     ordered = sorted(gens.generators, key=lambda g: -g.total_degree)
+    expander = assoc_evaluator(md.indices())
     for gen in ordered:
         if gen.total_degree > md.total:
             continue
@@ -412,7 +407,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
         else:
             forms = (_canonical_variables(gen.poly),)
         for L in forms:
-            yield from _instance_vectors(L, md, idx)
+            yield from _instance_vectors(L, md, idx, expander)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +541,11 @@ def multilinear_span_check(n: int) -> SpanReport:
     check_degree_cap(md.total)
     idx = word_index(md)
     base = triple_identity(n)
+    expander = assoc_evaluator(md.indices())
     vectors = []
     for perm in itertools.permutations(range(1, n + 1)):
         image = substitute(base, {k: leaf(perm[k - 1]) for k in range(1, n + 1)})
-        vectors.append(expansion_vector(idx, image))
+        vectors.append(idx.vector(expander.poly(image).words))
     sp = span(idx, vectors)
     ids = identities(md)
     quotient = consequences(BASE_SET, md)
@@ -810,6 +806,7 @@ def _second_derived_vectors(md: MultiDeg) -> list[int]:
     """Expansions spanning the md-part of [[L, L], [L, L]]: brackets of two
     left-normalized monomials of degree >= 2."""
     idx = word_index(md)
+    expander = assoc_evaluator(md.indices())
     out: list[int] = []
     seen: set[int] = set()
     for mu in md.sub_multidegrees():
@@ -819,7 +816,8 @@ def _second_derived_vectors(md: MultiDeg) -> list[int]:
         nu = md - mu
         for m1 in monomials_of(mu):
             for m2 in monomials_of(nu):
-                vec = expansion_vector(idx, pair(m1, m2))
+                vec = idx.vector(commutator(expander.monomial(m1),
+                                            expander.monomial(m2)).words)
                 if vec and vec not in seen:
                     seen.add(vec)
                     out.append(vec)
@@ -880,14 +878,15 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     idx = comp.index
     quotient_rows = consequences(BASE_SET, md).basis_vectors()
     if part in (1, 2):
-        keep = [comp.vectors[i]
-                for i, seq in enumerate(idx.labels)
+        keep = [expansion_vector(idx, m)
+                for m, seq in zip(comp.monomials, idx.labels)
                 if _prefix_condition(seq, sorted_tail=(part == 2))]
         extra = list(quotient_rows)
         if part == 2:
             extra.extend(_second_derived_vectors(md))
         lhs = span(idx, keep + extra)
-        rhs = span(idx, list(comp.vectors) + extra)
+        # the basis spans what all the monomials span
+        rhs = span(idx, list(comp.basis_vectors) + extra)
     else:
         keep = _filtered_product_vectors(md)
         lhs = span(idx, keep + list(quotient_rows))
@@ -906,13 +905,16 @@ def derived_cube_zero_check(total: int) -> CubeReport:
     """All brackets [[m1, m2], m3] of monomials of degree >= 2 vanish in the
     quotient; checked at every multidegree of the given total degree, up to
     renaming.  Such brackets have total degree >= 6, so a smaller total
-    would pass over no instance at all and is refused."""
+    would pass over no instance at all and is refused.  Membership in the
+    base consequences is tested directly, as ``zero_in_quotient`` does."""
     if total < 6:
         raise ValueError(f"the cube check needs total degree >= 6, got {total}")
     check_degree_cap(total)
     count = 0
     all_zero = True
     for md in canonical_multidegrees(total, total):
+        idx = word_index(md)
+        expander = assoc_evaluator(md.indices())
         for mu1 in md.sub_multidegrees():
             if mu1.total < 2 or md.total - mu1.total < 4:
                 continue
@@ -923,10 +925,13 @@ def derived_cube_zero_check(total: int) -> CubeReport:
                     continue
                 for m1 in monomials_of(mu1):
                     for m2 in monomials_of(mu2):
-                        inner = pair(m1, m2)
+                        inner = commutator(expander.monomial(m1),
+                                           expander.monomial(m2))
                         for m3 in monomials_of(mu3):
                             count += 1
-                            if not zero_in_quotient(pair(inner, m3)):
+                            cube = commutator(inner, expander.monomial(m3))
+                            vec = idx.vector(cube.words)
+                            if vec and not consequences(BASE_SET, md).contains(vec):
                                 all_zero = False
     return CubeReport(total, count, all_zero)
 

@@ -9,7 +9,7 @@ import pytest
 from lieid import tideal
 from lieid.cli import LEMMAS, MAX_PRINTED_INDEX, main
 from lieid.expr import parse
-from lieid.lie_core import assoc_expand, is_zero
+from lieid.lie_core import assoc_expand, get_degree_cap, is_zero
 from lieid.tideal import triple_identity
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +24,19 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv, "--json")
     return code, json.loads(out)
+
+
+def refuse_bound_above_the_cap(capsys, monkeypatch, *argv):
+    def never(md):
+        raise AssertionError(f"check_generation ran at {md!r}")
+
+    monkeypatch.setattr(tideal, "check_generation", never)
+    bound = str(get_degree_cap() + 1)
+    code, out, err = run_cli(capsys, *argv, "--max-total-degree", bound,
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert "degree cap" in err
 
 
 class TestVerify:
@@ -138,6 +151,11 @@ class TestCheckTheorem:
         assert out == ""
         assert "--max-total-degree" in err
 
+    def test_bound_above_the_cap_exits_two_before_any_work(self, capsys,
+                                                            monkeypatch):
+        # every total below the cap would otherwise be checked first
+        refuse_bound_above_the_cap(capsys, monkeypatch, "check-theorem")
+
     def test_small_bound(self, capsys):
         code, report = run_json(capsys, "check-theorem", "--max-total-degree", "4")
         assert code == 0
@@ -159,6 +177,11 @@ class TestLemmas:
         assert code == 2
         assert out == ""
         assert "--max-total-degree" in err
+
+    def test_bound_above_the_cap_exits_two_before_any_work(self, capsys,
+                                                            monkeypatch):
+        refuse_bound_above_the_cap(capsys, monkeypatch, "lemmas", "--run",
+                                   "theorem")
 
     def test_unknown_name_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "lemmas", "--run", "NoSuchLemma")

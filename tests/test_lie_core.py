@@ -9,6 +9,7 @@ from lieid.lie_core import (
     LiePoly,
     MultiDeg,
     as_poly,
+    assoc_evaluator,
     assoc_expand,
     bracket,
     commutator,
@@ -321,6 +322,28 @@ class TestRanksAgainstOracle:
             from lieid.gf2linalg import span
 
             assert span(comp.index, sorted(vecs)).dim == comp.dim
+
+
+small_monomials = st.recursive(
+    st.integers(1, 4).map(leaf),
+    lambda kids: st.tuples(kids, kids).map(lambda lr: pair(*lr)),
+    max_leaves=6,
+)
+small_polys = st.lists(small_monomials, min_size=1, max_size=3).map(
+    lambda ms: LiePoly.of(*ms)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=8))
+def test_batch_evaluator_expands_like_assoc_expand(batch):
+    # The batch shares subtrees, so later elements read expansions that
+    # earlier ones left in the cache; a second pass reads a full cache.
+    expander = assoc_evaluator(range(1, 5))
+    for p in batch + batch[::-1]:
+        assert expander.poly(p) == assoc_expand(p)
+        for m in p.monomials:
+            assert expander.monomial(m) == assoc_expand(m)
 
 
 class TestDegreeCap:

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieid.eval_gl2 import is_identity_gl2
 from lieid.expr import parse
@@ -74,6 +76,30 @@ class TestComponent:
     def test_dimensions(self, md, expected):
         assert component(md).dim == expected
 
+    @pytest.mark.parametrize("md", canonical_multidegrees(1, 6), ids=str)
+    def test_dimension_is_witts_formula(self, md):
+        # dim = (1/n) sum over d | gcd of the multiplicities of
+        # mu(d) (n/d)! / prod (m_i/d)!
+        def mobius(d):
+            out = 1
+            for p in range(2, d + 1):
+                if d % p == 0:
+                    d //= p
+                    if d % p == 0:
+                        return 0
+                    out = -out
+            return out
+
+        mults = [m for _, m in md.items()]
+        total = 0
+        for d in range(1, math.gcd(*mults) + 1):
+            if all(m % d == 0 for m in mults):
+                count = math.factorial(md.total // d)
+                for m in mults:
+                    count //= math.factorial(m // d)
+                total += mobius(d) * count
+        assert component(md).dim == total // md.total
+
     def test_single_variable_component_vanishes(self):
         assert component(MultiDeg({1: 2})).dim == 0
         assert component(MultiDeg({1: 1})).dim == 1
@@ -95,10 +121,11 @@ class TestComponent:
     def test_lie_poly_from_vector_roundtrip(self):
         md = MultiDeg.multilinear(4)
         comp = component(md)
+        vectors = [expansion_vector(comp.index, m) for m in comp.monomials]
         rng = random.Random(31)
         for _ in range(10):
             target = 0
-            for v in rng.sample(comp.vectors, 3):
+            for v in rng.sample(vectors, 3):
                 target ^= v
             p = lie_poly_from_vector(md, target)
             assert expansion_vector(comp.index, p) == target
@@ -106,8 +133,10 @@ class TestComponent:
     @pytest.mark.parametrize("md", canonical_multidegrees(2, 5), ids=str)
     def test_lie_poly_from_vector_equals_solving_over_every_monomial(self, md):
         comp = component(md)
-        for vec in comp.space.basis_vectors() + identities(md).basis_vectors():
-            sol = solve_in_span(comp.index, comp.vectors, vec)
+        vectors = [expansion_vector(comp.index, m) for m in comp.monomials]
+        space = span(comp.index, vectors)
+        for vec in space.basis_vectors() + identities(md).basis_vectors():
+            sol = solve_in_span(comp.index, vectors, vec)
             expected = LiePoly.of(*(comp.monomials[i] for i in sol))
             assert lie_poly_from_vector(md, vec) == expected
 
@@ -515,6 +544,59 @@ class TestFastPaths:
         rows = [set(cons.index.support(v)) for v in cons.basis_vectors()]
         assert naive_rank(ref) == cons.dim, md
         assert naive_rank(rows + ref) == cons.dim, md
+
+
+def renamed(space, renaming, md2):
+    """The image of a subspace under the renaming x_i -> x_renaming[i], in
+    the frame of md2, the renamed multidegree."""
+    target = word_index(md2)
+    rows = [target.vector(tuple(renaming[i] for i in w)
+                          for w in space.index.support(v))
+            for v in space.basis_vectors()]
+    return span(target, rows)
+
+
+# the canonical multidegrees of total <= 5 with a nonzero identity space
+IDENTITY_DEGREES = [MultiDeg.multilinear(4), MultiDeg({1: 3, 2: 2}),
+                    MultiDeg({1: 3, 2: 1, 3: 1}), MultiDeg({1: 2, 2: 2, 3: 1}),
+                    MultiDeg({1: 2, 2: 1, 3: 1, 4: 1}), MultiDeg.multilinear(5)]
+
+
+class TestRenamingAndInclusion:
+    """Properties every T-ideal component has, on random inputs."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(canonical_multidegrees(2, 5)),
+           st.permutations(range(1, 7)),
+           st.sampled_from(["base", "theorem", "cubic"]))
+    def test_renaming_commutes_with_the_spans(self, md, image, which):
+        # a renaming of variables is an invertible substitution, so it maps
+        # the T-ideal and the identity ideal onto themselves
+        gens = {"base": BASE_SET, "theorem": theorem_generators(5),
+                "cubic": generator_set([parse("x1 x2 x1")])}[which]
+        renaming = dict(zip(md.indices(), image))
+        md2 = MultiDeg({renaming[i]: m for i, m in md.items()})
+        assert renamed(identities(md), renaming, md2) == identities(md2)
+        assert (renamed(consequences(gens, md), renaming, md2)
+                == consequences(gens, md2))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_consequences_of_identities_are_identities(self, data):
+        polys = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            md = data.draw(st.sampled_from(IDENTITY_DEGREES))
+            rows = identities(md).basis_vectors()
+            picks = data.draw(st.lists(st.sampled_from(rows), min_size=1,
+                                       unique=True))
+            vec = 0
+            for row in picks:
+                vec ^= row
+            polys.append(lie_poly_from_vector(md, vec))
+        assert all(is_identity_gl2(p) for p in polys)
+        gens = generator_set(polys, data.draw(st.booleans()))
+        target = data.draw(st.sampled_from(canonical_multidegrees(4, 6)))
+        assert consequences(gens, target).subset(identities(target))
 
 
 class TestAssociativeInstances:
