@@ -404,7 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", default="all",
                    help=f"comma-separated subset of {', '.join(LEMMAS)}, "
                         "or 'all'")
-    p.add_argument("--max-total-degree", type=int, default=6)
+    p.add_argument("--max-total-degree", type=int, default=6,
+                   help="largest total degree of the theorem suite; the "
+                        "other suites run at fixed degrees and ignore it")
     add_common(p)
     p.set_defaults(func=cmd_lemmas)
 

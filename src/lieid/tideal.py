@@ -316,6 +316,13 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
     expansion of the substituted Lie element, without building it.  Fillers
     and letters come from ``expander``, the batch's own evaluator, so a
     filler shared by many instances and forms is expanded once.
+
+    The walk is a tree over states (slot, remaining multidegree), and many
+    branches reach the same state.  So a state's choices, pairs of the rest
+    multidegree and the expanded fillers, are built once, as are the filler
+    list of each sub-multidegree and the letter tails of each remaining
+    multidegree.  These memos belong to this call and are emptied when it
+    ends.  The vectors come out in the order of the plain recursion.
     """
     slots = L.multidegree().items()
     n_slots = len(slots)
@@ -323,36 +330,64 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
     for k in range(n_slots - 1, -1, -1):
         suffix_min[k] = suffix_min[k + 1] + slots[k][1]
     assignment: dict[int, AssocPoly] = {}
+    filler_lists: dict[tuple[bool, MultiDeg], list[AssocPoly]] = {}
+    choice_lists: dict[tuple[int, MultiDeg], list] = {}
+    tail_lists: dict[MultiDeg, list[list[AssocPoly]]] = {}
+
+    def choices(k: int, remaining: MultiDeg) -> list:
+        d = slots[k][1]
+        out = []
+        for mu in remaining.floor_div(d).sub_multidegrees():
+            if mu.total == 0:
+                continue
+            if remaining.total - d * mu.total < suffix_min[k + 1]:
+                continue
+            key = (d == 1, mu)
+            fillers = filler_lists.get(key)
+            if fillers is None:
+                monos = component(mu).basis if d == 1 else monomials_of(mu)
+                fillers = filler_lists[key] = [expander.monomial(w)
+                                               for w in monos]
+            out.append((remaining - mu.scaled(d), fillers))
+        return out
 
     def rec(k: int, remaining: MultiDeg) -> Iterator[int]:
         if k == n_slots:
             value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
             if value.is_zero():
                 return
-            for seq in _arrangements(remaining):
+            tails = tail_lists.get(remaining)
+            if tails is None:
+                tails = tail_lists[remaining] = [
+                    [expander.assign[letter] for letter in seq]
+                    for seq in _arrangements(remaining)]
+            for seq in tails:
                 tail = value
                 for letter in seq:
-                    tail = commutator(tail, expander.assign[letter])
+                    tail = commutator(tail, letter)
                     if tail.is_zero():
                         break
                 else:
                     yield idx.vector(tail.words)
             return
-        v, d = slots[k]
-        largest = remaining.floor_div(d)
-        for mu in largest.sub_multidegrees():
-            if mu.total == 0:
-                continue
-            if remaining.total - d * mu.total < suffix_min[k + 1]:
-                continue
-            rest = remaining - mu.scaled(d)
-            fillers = component(mu).basis if d == 1 else monomials_of(mu)
-            for w in fillers:
-                assignment[v] = expander.monomial(w)
+        v = slots[k][0]
+        state = (k, remaining)
+        options = choice_lists.get(state)
+        if options is None:
+            options = choice_lists[state] = choices(k, remaining)
+        for rest, fillers in options:
+            for value in fillers:
+                assignment[v] = value
                 yield from rec(k + 1, rest)
         assignment.pop(v, None)
 
-    return rec(0, md)
+    # rec refers to itself, so what it holds waits for a full garbage
+    # collection; the memos are emptied as soon as the walk ends
+    try:
+        yield from rec(0, md)
+    finally:
+        for memo in (filler_lists, choice_lists, tail_lists):
+            memo.clear()
 
 
 def consequences(gens: GeneratorSet, md: MultiDeg, *,
@@ -515,6 +550,21 @@ def check_generation(md: MultiDeg) -> GenerationReport:
     return GenerationReport(md, cons.dim, ids.dim, cons == ids)
 
 
+def _renamed_vectors(p: LiePoly, n: int) -> list[int]:
+    """Expansion vectors, at 1^n, of the multilinear p under every renaming
+    x_k -> x_perm[k-1], perm running over ``itertools.permutations``.
+
+    p is expanded once and each renaming maps its words.  This is exact:
+    expansion commutes with renaming letters, as both are algebra maps that
+    agree on the letters, and a renaming is a bijection on words, so no two
+    words of the expansion collide.
+    """
+    idx = word_index(MultiDeg.multilinear(n))
+    words = assoc_expand(p).words
+    return [idx.vector(tuple(perm[k - 1] for k in w) for w in words)
+            for perm in itertools.permutations(range(1, n + 1))]
+
+
 @dataclass(frozen=True)
 class SpanReport:
     n: int
@@ -540,13 +590,7 @@ def multilinear_span_check(n: int) -> SpanReport:
     md = MultiDeg.multilinear(n)
     check_degree_cap(md.total)
     idx = word_index(md)
-    base = triple_identity(n)
-    expander = assoc_evaluator(md.indices())
-    vectors = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        image = substitute(base, {k: leaf(perm[k - 1]) for k in range(1, n + 1)})
-        vectors.append(idx.vector(expander.poly(image).words))
-    sp = span(idx, vectors)
+    sp = span(idx, _renamed_vectors(triple_identity(n), n))
     ids = identities(md)
     quotient = consequences(BASE_SET, md)
     sp_mod = span(idx, list(sp.basis_vectors()) + list(quotient.basis_vectors()))
@@ -765,25 +809,38 @@ class IndependenceReport:
     in_span_with: bool
 
 
+def _word_pair_spans(n: int) -> tuple[GF2Subspace, GF2Subspace]:
+    """The consequence spans, at the multidegree of the n-th word-pair
+    element, of its family without that member and with it.
+
+    The second extends the basis of the first by the instance vectors of
+    the n-th member alone.  This is exact.  The T-ideal generated by a union
+    is the sum of the T-ideals generated by its parts, and so is each
+    multidegree component of it.  The polarization closure is taken per
+    generator, so the family's enumeration is the union of the members'
+    enumerations, and the n-th member adds exactly its own instances.
+    """
+    w = word_pair_element(n)
+    md = w.multidegree()
+    check_degree_cap(md.total)
+    others = tuple(Generator(f"wp{k}", word_pair_element(k))
+                   for k in range(3, md.total + 1) if k != n)
+    without = consequences(GeneratorSet(BASE_SET.generators + others), md)
+    idx = word_index(md)
+    added = _consequence_vectors(GeneratorSet((Generator(f"wp{n}", w),)), md, idx)
+    return without, span(idx, itertools.chain(without.basis_vectors(), added))
+
+
 def word_pair_independence(n: int) -> IndependenceReport:
     """Membership of (x1...xn)(x1x2) in the consequence span of the rest of
     its family (base relation included), and in the span once the n-th
-    member itself is added."""
+    member itself is added (see ``_word_pair_spans``)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     w = word_pair_element(n)
     md = w.multidegree()
-    check_degree_cap(md.total)
-
-    def family(ks: Iterable[int]) -> GeneratorSet:
-        gens = [Generator("base", as_poly(BASE_RELATION))]
-        gens.extend(Generator(f"wp{k}", word_pair_element(k)) for k in ks)
-        return GeneratorSet(tuple(gens))
-
+    without, with_n = _word_pair_spans(n)
     vec = expansion_vector(word_index(md), w)
-    ks_all = range(3, md.total + 1)
-    without = consequences(family(k for k in ks_all if k != n), md)
-    with_n = consequences(family(ks_all), md)
     return IndependenceReport(n, md, without.contains(vec), with_n.contains(vec))
 
 
@@ -915,6 +972,7 @@ def derived_cube_zero_check(total: int) -> CubeReport:
     for md in canonical_multidegrees(total, total):
         idx = word_index(md)
         expander = assoc_evaluator(md.indices())
+        quotient = consequences(BASE_SET, md)
         for mu1 in md.sub_multidegrees():
             if mu1.total < 2 or md.total - mu1.total < 4:
                 continue
@@ -931,7 +989,7 @@ def derived_cube_zero_check(total: int) -> CubeReport:
                             count += 1
                             cube = commutator(inner, expander.monomial(m3))
                             vec = idx.vector(cube.words)
-                            if vec and not consequences(BASE_SET, md).contains(vec):
+                            if vec and not quotient.contains(vec):
                                 all_zero = False
     return CubeReport(total, count, all_zero)
 

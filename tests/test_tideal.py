@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from lieid.lie_core import (
     LiePoly,
     MultiDeg,
     as_poly,
+    assoc_evaluator,
     assoc_expand,
     commutator,
     leaf,
@@ -427,6 +429,15 @@ class TestSpanChecks:
         assert rep.dim_span < rep.dim_identities  # raw spans differ at n >= 5
         assert rep.dim_span_mod_base == rep.dim_identities_mod_base
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_renamed_words_equal_expanded_substitutions(self, n):
+        idx = word_index(MultiDeg.multilinear(n))
+        base = triple_identity(n)
+        want = [expansion_vector(idx, substitute(
+                    base, {k: leaf(perm[k - 1]) for k in range(1, n + 1)}))
+                for perm in itertools.permutations(range(1, n + 1))]
+        assert tideal._renamed_vectors(base, n) == want
+
     @pytest.mark.parametrize(
         "md",
         [
@@ -446,6 +457,42 @@ def _word_pair_family(polarize_closure=True):
 
 def _cubic_set(polarize_closure):
     return generator_set([parse("x2 x1 x1 x1")], polarize_closure)
+
+
+def _plain_consequence_vectors(gens, md, idx):
+    """The consequence vectors of the plain recursion, which rebuilds a
+    slot's choices on every visit and expands every filler afresh."""
+    letters = {i: assoc_expand(leaf(i)) for i in md.indices()}
+    out = []
+
+    def rec(L, slots, k, remaining, assignment):
+        if k == len(slots):
+            value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
+            for seq in tideal._arrangements(remaining):
+                tail = value
+                for letter in seq:
+                    tail = commutator(tail, letters[letter])
+                if not tail.is_zero():
+                    out.append(idx.vector(tail.words))
+            return
+        v, d = slots[k]
+        for mu in remaining.floor_div(d).sub_multidegrees():
+            rest_total = remaining.total - d * mu.total
+            if mu.total == 0 or rest_total < sum(m for _, m in slots[k + 1:]):
+                continue
+            fillers = component(mu).basis if d == 1 else monomials_of(mu)
+            for w in fillers:
+                assignment[v] = assoc_expand(w)
+                rec(L, slots, k + 1, remaining - mu.scaled(d), assignment)
+
+    for gen in sorted(gens.generators, key=lambda g: -g.total_degree):
+        if gen.total_degree > md.total:
+            continue
+        forms = (tideal._polarization_closure(gen.poly) if gens.polarize_closure
+                 else (tideal._canonical_variables(gen.poly),))
+        for L in forms:
+            rec(L, L.multidegree().items(), 0, md, {})
+    return out
 
 
 class TestFastPaths:
@@ -486,6 +533,42 @@ class TestFastPaths:
         clear_caches()
         consequences(gens, md)
         assert 0 < early < len(drawn)
+
+    @pytest.mark.parametrize(
+        "gens,mds",
+        [(gs, canonical_multidegrees(1, 5) + [MultiDeg({1: 2, 2: 2, 3: 2})])
+         for gs in (BASE_SET, theorem_generators(5), _word_pair_family(),
+                    _cubic_set(True))]
+        # x1 takes degree-2 fillers in a repeated slot and x2 in a linear one
+        + [(generator_set([parse("x1 x2 x1")], False),
+            [MultiDeg({1: 2, 2: 2, 3: 2, 4: 1})])],
+        ids=["base", "theorem", "word_pairs", "cubic", "linear_and_repeated"],
+    )
+    def test_instance_vectors_come_in_the_order_of_the_plain_walk(self, gens,
+                                                                  mds):
+        # the rank-target exit stops at a point in this order
+        for md in mds:
+            idx = word_index(md)
+            got = list(tideal._consequence_vectors(gens, md, idx))
+            assert got == _plain_consequence_vectors(gens, md, idx), md
+
+    def test_component_looked_up_once_per_slot_and_sub_multidegree(
+            self, monkeypatch):
+        md = MultiDeg.multilinear(6)
+        (L,) = tideal._polarization_closure(as_poly(BASE_RELATION))
+        n_slots = len(L.multidegree().items())
+        calls = Counter()
+        real = tideal.component
+
+        def counted(mu):
+            calls[mu] += 1
+            return real(mu)
+
+        monkeypatch.setattr(tideal, "component", counted)
+        vectors = list(tideal._instance_vectors(
+            L, md, word_index(md), assoc_evaluator(md.indices())))
+        assert vectors
+        assert calls and max(calls.values()) <= n_slots, calls.most_common(3)
 
     def test_rank_target_outside_the_span_is_an_error(self):
         md = MultiDeg.multilinear(5)
@@ -641,6 +724,15 @@ class TestIndependence:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             word_pair_independence(2)
+
+    @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_extended_span_is_the_whole_family(self, n):
+        without, with_n = tideal._word_pair_spans(n)
+        md = word_pair_element(n).multidegree()
+        family = generator_set([BASE_RELATION] + [word_pair_element(k)
+                                                  for k in range(3, md.total + 1)])
+        assert with_n == consequences(family, md)
+        assert without.subset(with_n) and without != with_n
 
 
 class TestDerivedSpans:
