@@ -67,6 +67,7 @@ __all__ = [
     "expansion_vector",
     "lie_poly_from_vector",
     "consequences",
+    "base_consequences",
     "identities",
     "triple_identity",
     "theorem_generators",
@@ -145,14 +146,15 @@ BASE_SET = GeneratorSet((Generator("base", as_poly(BASE_RELATION)),))
 # ---------------------------------------------------------------------------
 # enumeration and caches
 
-# These three check the degree cap before the lookup, so they are explicit.
+# These four check the degree cap before the lookup, so they are explicit.
 _COMPONENT_CACHE: dict[MultiDeg, "Component"] = {}
 _CONSEQ_CACHE: dict[tuple[GeneratorSet, MultiDeg], GF2Subspace] = {}
+_BASE_CACHE: dict[MultiDeg, GF2Subspace] = {}
 _IDENT_CACHE: dict[MultiDeg, GF2Subspace] = {}
 
 
 def clear_caches() -> None:
-    for cache in (_COMPONENT_CACHE, _CONSEQ_CACHE, _IDENT_CACHE):
+    for cache in (_COMPONENT_CACHE, _CONSEQ_CACHE, _BASE_CACHE, _IDENT_CACHE):
         cache.clear()
     for memo in (monomials_of, word_index, _polarization_closure):
         memo.cache_clear()
@@ -583,7 +585,8 @@ def multilinear_span_check(n: int) -> SpanReport:
     The statement being checked lives in the quotient by the base relation:
     at n >= 5 the raw spans differ (the identity space contains the base
     consequences), so ``equal`` compares the spans with the base-relation
-    consequences adjoined to both sides.
+    consequences, ``base_consequences`` built in closed form, adjoined to
+    both sides.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -592,7 +595,7 @@ def multilinear_span_check(n: int) -> SpanReport:
     idx = word_index(md)
     sp = span(idx, _renamed_vectors(triple_identity(n), n))
     ids = identities(md)
-    quotient = consequences(BASE_SET, md)
+    quotient = base_consequences(md)
     sp_mod = span(idx, list(sp.basis_vectors()) + list(quotient.basis_vectors()))
     ids_mod = span(idx, list(ids.basis_vectors()) + list(quotient.basis_vectors()))
     return SpanReport(
@@ -712,7 +715,8 @@ def sr_basis_identity(n: int, s: int, r: int) -> LiePoly:
 
 def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
     """Coefficients expressing p, modulo the base T-ideal, as a normal-form
-    sum; raises when no representation exists.
+    sum; raises when no representation exists.  The base T-ideal's
+    component is ``base_consequences``, built in closed form.
 
     The zero polynomial yields the empty coefficient set.
     """
@@ -729,7 +733,7 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
     idx = word_index(md)
     labels = normal_form_labels(n)
     vectors = [expansion_vector(idx, normal_form_monomial(n, lab)) for lab in labels]
-    quotient = consequences(BASE_SET, md)
+    quotient = base_consequences(md)
     vectors.extend(quotient.basis_vectors())
     sol = solve_in_span(idx, vectors, idx.vector(expansion.words))
     if sol is None:
@@ -742,9 +746,79 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
 # ---------------------------------------------------------------------------
 # the quotient by the base relation
 
+def base_consequences(md: MultiDeg) -> GF2Subspace:
+    """The md-component of the T-ideal of the base relation
+    (a) = [[x1, x2], [x3, x4], x5], the same subspace as
+    ``consequences(BASE_SET, md)``, built in closed form: the span of the
+    brackets [[p, q], r] with p, q and r in ``Component.basis`` at
+    multidegrees ν1, ν2 and ν3, where |ν1|, |ν2| >= 2, |ν3| >= 1 and
+    ν1 + ν2 + ν3 = md.
+
+    Write L for the free Lie algebra, L' = L_{>=2}, which is [L, L], and
+    I = [[L', L'], L].  Then T(a) = I:
+
+    - I ⊆ T(a).  L' is spanned by brackets [a, b], and [[p, q], r] is
+      linear in p and in q, so each [[p, q], r] is a sum of instances
+      [[a, b], [c, d], r] of (a).
+    - T(a) ⊆ I.  I contains (a).  Over GF(2) the Jacobi identity reads
+      [[j, x], y] = [[j, y], x] + [j, [x, y]], so [J, L] is an ideal
+      whenever J is, and [J, J] is one too; hence L'' = [L', L'] and
+      I = [L'', L] are ideals.  Every endomorphism maps L' into L', hence
+      I into I, so I is a T-ideal, and T(a) is the least one holding (a).
+
+    Both sides are multigraded, so they agree at every md.  There I is
+    spanned by the brackets of homogeneous elements, hence, the bracket
+    being trilinear, by those of basis elements.  (a) is multilinear, so
+    its polarization closure is (a) itself and the enumerated span is
+    T(a) at md, the subspace computed here.
+
+    Over GF(2), [p, q] = [q, p] and [p, p] = 0, so each unordered pair
+    {p, q} is taken once.  A ν1 with total(md) - |ν1| < 3 leaves no room
+    for ν2 and ν3 and is skipped before its component is built.
+    """
+    check_degree_cap(md.total)
+    got = _BASE_CACHE.get(md)
+    if got is not None:
+        return got
+    idx = word_index(md)
+    ech = Echelon(idx)
+    expander = assoc_evaluator(md.indices())
+    fillers: dict[MultiDeg, list[AssocPoly]] = {}
+
+    def basis(nu: MultiDeg) -> list[AssocPoly]:
+        values = fillers.get(nu)
+        if values is None:
+            values = fillers[nu] = [expander.monomial(m)
+                                    for m in component(nu).basis]
+        return values
+
+    for nu1 in md.sub_multidegrees():
+        if nu1.total < 2 or md.total - nu1.total < 3:
+            continue
+        rest = md - nu1
+        for nu2 in rest.sub_multidegrees():
+            if nu2.total < 2 or rest.total - nu2.total < 1:
+                continue
+            if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
+                continue
+            thirds = basis(rest - nu2)
+            seconds = basis(nu2)
+            for i, p in enumerate(basis(nu1)):
+                for q in seconds[i + 1:] if nu2 == nu1 else seconds:
+                    pq = commutator(p, q)
+                    for r in thirds:
+                        vec = idx.vector(commutator(pq, r).words)
+                        if vec:
+                            ech.insert(vec)
+    result = GF2Subspace(ech)
+    _BASE_CACHE[md] = result
+    return result
+
+
 def zero_in_quotient(p: PolyLike) -> bool:
     """True when p lies in the T-ideal generated by the base relation, that
-    is, p = 0 in the quotient algebra."""
+    is, p = 0 in the quotient algebra; the quotient's component is
+    ``base_consequences(md)``, built in closed form."""
     pp = as_poly(p)
     if pp.is_formal_zero():
         return True
@@ -756,7 +830,7 @@ def zero_in_quotient(p: PolyLike) -> bool:
     if expansion.is_zero():
         return True
     md = pp.multidegree()
-    quotient = consequences(BASE_SET, md)
+    quotient = base_consequences(md)
     return quotient.contains(word_index(md).vector(expansion.words))
 
 
@@ -813,20 +887,24 @@ def _word_pair_spans(n: int) -> tuple[GF2Subspace, GF2Subspace]:
     """The consequence spans, at the multidegree of the n-th word-pair
     element, of its family without that member and with it.
 
-    The second extends the basis of the first by the instance vectors of
-    the n-th member alone.  This is exact.  The T-ideal generated by a union
-    is the sum of the T-ideals generated by its parts, and so is each
-    multidegree component of it.  The polarization closure is taken per
-    generator, so the family's enumeration is the union of the members'
-    enumerations, and the n-th member adds exactly its own instances.
+    "Without" is the base quotient ``base_consequences(md)``, built in
+    closed form, plus the consequences of the other members; the second
+    extends its basis by the instance vectors of the n-th member alone.
+    This is exact.  The T-ideal generated by a union is the sum of the
+    T-ideals generated by its parts, and so is each multidegree component
+    of it.  The polarization closure is taken per generator, so the
+    family's enumeration is the union of the members' enumerations, and the
+    n-th member adds exactly its own instances.
     """
     w = word_pair_element(n)
     md = w.multidegree()
     check_degree_cap(md.total)
     others = tuple(Generator(f"wp{k}", word_pair_element(k))
                    for k in range(3, md.total + 1) if k != n)
-    without = consequences(GeneratorSet(BASE_SET.generators + others), md)
     idx = word_index(md)
+    without = span(idx, itertools.chain(
+        base_consequences(md).basis_vectors(),
+        consequences(GeneratorSet(others), md).basis_vectors()))
     added = _consequence_vectors(GeneratorSet((Generator(f"wp{n}", w),)), md, idx)
     return without, span(idx, itertools.chain(without.basis_vectors(), added))
 
@@ -924,7 +1002,8 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     part 1: words with i1 > i2 <= i3 span the whole component, modulo the
     base T-ideal.  part 2: words with a fully sorted tail span it modulo the
     second derived part as well.  part 3: the filtered products span the
-    second derived part, modulo the base T-ideal.
+    second derived part, modulo the base T-ideal.  The base T-ideal's
+    component is ``base_consequences``, built in closed form.
     """
     if part not in (1, 2, 3):
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
@@ -933,7 +1012,7 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     check_degree_cap(md.total)
     comp = component(md)
     idx = comp.index
-    quotient_rows = consequences(BASE_SET, md).basis_vectors()
+    quotient_rows = base_consequences(md).basis_vectors()
     if part in (1, 2):
         keep = [expansion_vector(idx, m)
                 for m, seq in zip(comp.monomials, idx.labels)
@@ -963,7 +1042,12 @@ def derived_cube_zero_check(total: int) -> CubeReport:
     quotient; checked at every multidegree of the given total degree, up to
     renaming.  Such brackets have total degree >= 6, so a smaller total
     would pass over no instance at all and is refused.  Membership in the
-    base consequences is tested directly, as ``zero_in_quotient`` does."""
+    base consequences is tested directly, as ``zero_in_quotient`` does.
+
+    The quotient comes from ``base_consequences``, the span of [[p, q], r]
+    over component bases, so the vanishing follows from that construction.
+    Its independent content, that [[L', L'], L] is the T-ideal of the base
+    relation, is checked by the tests against the enumerated consequences."""
     if total < 6:
         raise ValueError(f"the cube check needs total degree >= 6, got {total}")
     check_degree_cap(total)
@@ -972,7 +1056,7 @@ def derived_cube_zero_check(total: int) -> CubeReport:
     for md in canonical_multidegrees(total, total):
         idx = word_index(md)
         expander = assoc_evaluator(md.indices())
-        quotient = consequences(BASE_SET, md)
+        quotient = base_consequences(md)
         for mu1 in md.sub_multidegrees():
             if mu1.total < 2 or md.total - mu1.total < 4:
                 continue

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from lieid import tideal
 from lieid.cli import LEMMAS, MAX_PRINTED_INDEX, main
 from lieid.expr import parse
-from lieid.lie_core import assoc_expand, get_degree_cap, is_zero
-from lieid.tideal import triple_identity
+from lieid.lie_core import as_poly, assoc_expand, get_degree_cap, is_zero
+from lieid.tideal import triple_identity, word_pair_element
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,6 +32,8 @@ def refuse_bound_above_the_cap(capsys, monkeypatch, *argv):
         raise AssertionError(f"check_generation ran at {md!r}")
 
     monkeypatch.setattr(tideal, "check_generation", never)
+    for name in LEMMAS:
+        monkeypatch.setitem(LEMMAS, name, lambda *args, name=name: never(name))
     bound = str(get_degree_cap() + 1)
     code, out, err = run_cli(capsys, *argv, "--max-total-degree", bound,
                              "--json")
@@ -178,10 +181,27 @@ class TestLemmas:
         assert out == ""
         assert "--max-total-degree" in err
 
+    @pytest.mark.parametrize("run", ("theorem", "L1e2,theorem", "all"))
     def test_bound_above_the_cap_exits_two_before_any_work(self, capsys,
-                                                            monkeypatch):
+                                                            monkeypatch, run):
         refuse_bound_above_the_cap(capsys, monkeypatch, "lemmas", "--run",
-                                   "theorem")
+                                   run)
+
+    def test_other_suites_ignore_the_bound(self, capsys):
+        code, report = run_json(capsys, "lemmas", "--run", "L1e2",
+                                "--max-total-degree",
+                                str(get_degree_cap() + 1))
+        assert code == 0
+        assert report["checks"]["L1e2"]["pass"] is True
+
+    def test_unknown_name_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setitem(LEMMAS, "L1e2", lambda: pytest.fail("L1e2 ran"))
+        code, out, err = run_cli(capsys, "lemmas", "--run",
+                                 "L1e2,NoSuchLemma", "--max-total-degree",
+                                 str(get_degree_cap() + 1))
+        assert code == 2
+        assert out == ""
+        assert "unknown lemma" in err
 
     def test_unknown_name_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "lemmas", "--run", "NoSuchLemma")
@@ -247,6 +267,30 @@ def test_json_matches_recorded_report(capsys, name):
     recorded = json.loads((DATA / f"{name}.json").read_text())
     assert json.dumps(strip_elapsed(report), sort_keys=True) == json.dumps(
         recorded, sort_keys=True)
+
+
+def test_seven_suites_enumerate_only_the_word_pair_family(capsys,
+                                                         monkeypatch):
+    # the quotient by the base relation is built in closed form
+    # (tideal.base_consequences), so no instance of it is enumerated
+    forms = Counter()
+    real = tideal._instance_vectors
+
+    def counted(L, *args):
+        for vec in real(L, *args):
+            forms[L] += 1
+            yield vec
+
+    monkeypatch.setattr(tideal, "_instance_vectors", counted)
+    tideal.clear_caches()
+    code, _ = run_json(capsys, *RECORDED["lemmas_seven"])
+    assert code == 0
+    base = set(tideal._polarization_closure(as_poly(tideal.BASE_RELATION)))
+    family = {L for k in (3, 4)
+              for L in tideal._polarization_closure(word_pair_element(k))}
+    assert forms
+    assert not base & set(forms)
+    assert set(forms) <= family
 
 
 def test_json_is_deterministic(capsys):

@@ -33,6 +33,7 @@ from lieid.tideal import (
     BASE_SET,
     Generator,
     GeneratorSet,
+    base_consequences,
     canonical_multidegrees,
     check_generation,
     clear_caches,
@@ -343,6 +344,66 @@ class TestQuotient:
             tail_rewrite_difference(1, 2, [3, 4], 5, 6, 1, [0, 0])
         with pytest.raises(ValueError):
             tail_rewrite_difference(1, 2, [3], 5, 6, 2, [0])
+
+
+class TestBaseConsequences:
+    """The quotient by the base relation in closed form, [[L', L'], L],
+    against the enumerated T-ideal of the base relation, the reference."""
+
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(1, 6)
+        + [MultiDeg({2: 1, 4: 2, 7: 1, 9: 1}), MultiDeg({1: 1, 3: 2, 5: 2})],
+        ids=repr,
+    )
+    def test_equals_the_enumerated_consequences(self, md):
+        assert base_consequences(md) == consequences(BASE_SET, md)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("md", canonical_multidegrees(7, 7), ids=repr)
+    def test_equals_the_enumerated_consequences_at_total_seven(self, md):
+        assert base_consequences(md) == consequences(BASE_SET, md)
+
+    def test_components_built_only_up_to_total_minus_three(self, monkeypatch):
+        # |nu2| >= 2 and |nu3| >= 1 leave at most total - 3 to each factor
+        md = MultiDeg.multilinear(6)
+        built = []
+        real = tideal.component
+
+        def counted(mu):
+            built.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(tideal, "component", counted)
+        clear_caches()
+        base_consequences(md)
+        assert max(mu.total for mu in built) == md.total - 3
+
+    def test_cap_checked_before_the_memo(self, degree_cap_guard):
+        md = MultiDeg.multilinear(5)
+        base_consequences(md)
+        degree_cap_guard(4)
+        with pytest.raises(DegreeCapError):
+            base_consequences(md)
+
+    def test_clear_caches_empties_the_memo(self):
+        md = MultiDeg.multilinear(5)
+        first = base_consequences(md)
+        assert base_consequences(md) is first
+        clear_caches()
+        again = base_consequences(md)
+        assert again is not first
+        assert again == first
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_word_pair_span_without_the_member(self, n):
+        # the base quotient plus the other members' consequences, against
+        # the enumeration of the base relation and the other members at once
+        without, _ = tideal._word_pair_spans(n)
+        md = word_pair_element(n).multidegree()
+        others = tuple(Generator(f"wp{k}", word_pair_element(k))
+                       for k in range(3, md.total + 1) if k != n)
+        assert without == consequences(
+            GeneratorSet(BASE_SET.generators + others), md)
 
 
 class TestCoefficientCalculus:
