@@ -10,10 +10,10 @@ of larger degree has no substitution instance of the target multidegree.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .expr import ParseError, parse
 from .gf2linalg import (
@@ -146,18 +146,35 @@ BASE_SET = GeneratorSet((Generator("base", as_poly(BASE_RELATION)),))
 # ---------------------------------------------------------------------------
 # enumeration and caches
 
-# These four check the degree cap before the lookup, so they are explicit.
-_COMPONENT_CACHE: dict[MultiDeg, "Component"] = {}
-_CONSEQ_CACHE: dict[tuple[GeneratorSet, MultiDeg], GF2Subspace] = {}
-_BASE_CACHE: dict[MultiDeg, GF2Subspace] = {}
-_IDENT_CACHE: dict[MultiDeg, GF2Subspace] = {}
+_MEMOS: list[dict] = []
+
+
+def _memo(fn):
+    """Memoize fn on its positional arguments, which the memoized functions
+    therefore take positionally only; keyword arguments are passed on but
+    are not part of the key.  Every ``MultiDeg`` argument is checked against
+    the degree cap before the lookup, so a lowered cap refuses a cached
+    result as well.  ``clear_caches`` empties every memo.
+    """
+    table: dict = {}
+    _MEMOS.append(table)
+
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        for arg in args:
+            if isinstance(arg, MultiDeg):
+                check_degree_cap(arg.total)
+        got = table.get(args)
+        if got is None:
+            got = table[args] = fn(*args, **kwargs)
+        return got
+
+    return memoized
 
 
 def clear_caches() -> None:
-    for cache in (_COMPONENT_CACHE, _CONSEQ_CACHE, _BASE_CACHE, _IDENT_CACHE):
-        cache.clear()
-    for memo in (monomials_of, word_index, _polarization_closure):
-        memo.cache_clear()
+    for table in _MEMOS:
+        table.clear()
 
 
 def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
@@ -181,14 +198,14 @@ def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
-@functools.cache
-def monomials_of(md: MultiDeg) -> tuple[LieMonomial, ...]:
+@_memo
+def monomials_of(md: MultiDeg, /) -> tuple[LieMonomial, ...]:
     """All left-normalized monomials with leaf multiset md."""
     return tuple(word_monomial(seq) for seq in _arrangements(md))
 
 
-@functools.cache
-def word_index(md: MultiDeg) -> WordIndex:
+@_memo
+def word_index(md: MultiDeg, /) -> WordIndex:
     """The shared coordinate frame at md: every word of that multidegree."""
     return WordIndex(tuple(_arrangements(md)))
 
@@ -201,15 +218,13 @@ def expansion_vector(idx: WordIndex, p: PolyLike) -> int:
 class Component:
     """A multidegree-graded piece of the free Lie algebra.
 
-    ``monomials[i]`` is the left-normalized monomial on ``index.labels[i]``.
-    ``basis`` is the greedily independent subset of ``monomials``, in order:
-    a basis of the component, with expansions ``basis_vectors`` in the
-    shared frame.
+    ``basis`` is the greedily independent subset of ``monomials_of``, in
+    order: a basis of the component, with expansions ``basis_vectors`` in
+    the shared frame ``index``.
     """
 
     multidegree: MultiDeg
     index: WordIndex
-    monomials: tuple[LieMonomial, ...]
     basis: tuple[LieMonomial, ...]
     basis_vectors: tuple[int, ...]
 
@@ -217,33 +232,27 @@ class Component:
     def dim(self) -> int:
         return len(self.basis)
 
-    @functools.cached_property
+    @cached_property
     def solver(self) -> SpanSolver:
         """Expresses an expansion vector in ``basis``; built on first use."""
         return SpanSolver(self.index, self.basis_vectors)
 
 
-def component(md: MultiDeg) -> Component:
+@_memo
+def component(md: MultiDeg, /) -> Component:
     """The component at md.  Each monomial is expanded on its own: one
     evaluator over all of them would hold every subtree at once."""
     if md.total < 1:
         raise ValueError("component requires total degree >= 1")
-    check_degree_cap(md.total)
-    got = _COMPONENT_CACHE.get(md)
-    if got is not None:
-        return got
     idx = word_index(md)
-    monos = monomials_of(md)
     ech = Echelon(idx)
     basis, basis_vectors = [], []
-    for m in monos:
+    for m in monomials_of(md):
         vec = expansion_vector(idx, m)
         if ech.insert(vec):
             basis.append(m)
             basis_vectors.append(vec)
-    comp = Component(md, idx, monos, tuple(basis), tuple(basis_vectors))
-    _COMPONENT_CACHE[md] = comp
-    return comp
+    return Component(md, idx, tuple(basis), tuple(basis_vectors))
 
 
 def lie_poly_from_vector(md: MultiDeg, vec: int) -> LiePoly:
@@ -270,8 +279,8 @@ def _canonical_variables(p: LiePoly) -> LiePoly:
     return substitute(p, renaming)
 
 
-@functools.cache
-def _polarization_closure(p: LiePoly) -> tuple[LiePoly, ...]:
+@_memo
+def _polarization_closure(p: LiePoly, /) -> tuple[LiePoly, ...]:
     """p together with all iterated partial linearizations, variables
     canonically renumbered, duplicates and expansion-zero results dropped."""
     start = _canonical_variables(p)
@@ -392,7 +401,8 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
             memo.clear()
 
 
-def consequences(gens: GeneratorSet, md: MultiDeg, *,
+@_memo
+def consequences(gens: GeneratorSet, md: MultiDeg, /, *,
                  within: Optional[GF2Subspace] = None) -> GF2Subspace:
     """The md-component of the T-ideal generated by the set.
 
@@ -410,13 +420,9 @@ def consequences(gens: GeneratorSet, md: MultiDeg, *,
     ``within`` is a rank target for a caller that has proved the span lies
     inside it.  Enumeration then stops once the rank reaches ``within.dim``:
     a subspace of ``within`` of the same dimension is ``within`` itself, so
-    the partial span is already the whole consequence span.
+    the partial span is already the whole consequence span, and it is
+    memoized as such: ``within`` is not part of the key.
     """
-    check_degree_cap(md.total)
-    key = (gens, md)
-    got = _CONSEQ_CACHE.get(key)
-    if got is not None:
-        return got
     idx = word_index(md)
     ech = Echelon(idx)
     target = within.dim if within is not None else -1
@@ -427,7 +433,6 @@ def consequences(gens: GeneratorSet, md: MultiDeg, *,
     result = GF2Subspace(ech)
     if within is not None and result.dim == within.dim and result != within:
         raise ValueError("the consequence span does not lie inside `within`")
-    _CONSEQ_CACHE[key] = result
     return result
 
 
@@ -450,7 +455,8 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
 # ---------------------------------------------------------------------------
 # identity kernels
 
-def identities(md: MultiDeg) -> GF2Subspace:
+@_memo
+def identities(md: MultiDeg, /) -> GF2Subspace:
     """The md-component of the ideal of gl2 identities, as the kernel of the
     generic-matrix evaluation of a basis of the component.
 
@@ -460,10 +466,6 @@ def identities(md: MultiDeg) -> GF2Subspace:
     constraint row is one packed monomial of one matrix entry; its bit k is
     that monomial's coefficient in the value of basis monomial k.
     """
-    check_degree_cap(md.total)
-    got = _IDENT_CACHE.get(md)
-    if got is not None:
-        return got
     comp = component(md)
     width = field_width(max(d for _, d in md.items()))
     evaluator = Evaluator({i: generic_matrix(k + 1, width)
@@ -482,9 +484,7 @@ def identities(md: MultiDeg) -> GF2Subspace:
         for k in bit_positions(sol):
             v ^= comp.basis_vectors[k]
         word_vectors.append(v)
-    result = span(comp.index, word_vectors)
-    _IDENT_CACHE[md] = result
-    return result
+    return span(comp.index, word_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +591,6 @@ def multilinear_span_check(n: int) -> SpanReport:
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     md = MultiDeg.multilinear(n)
-    check_degree_cap(md.total)
     idx = word_index(md)
     sp = span(idx, _renamed_vectors(triple_identity(n), n))
     ids = identities(md)
@@ -746,7 +745,47 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
 # ---------------------------------------------------------------------------
 # the quotient by the base relation
 
-def base_consequences(md: MultiDeg) -> GF2Subspace:
+def _basis_expansions(md: MultiDeg) -> Callable[[MultiDeg], list[AssocPoly]]:
+    """The expansions of ``component(nu).basis`` for nu below md, each list
+    built on first use by one evaluator; the memo belongs to the caller."""
+    expander = assoc_evaluator(md.indices())
+    fillers: dict[MultiDeg, list[AssocPoly]] = {}
+
+    def basis(nu: MultiDeg) -> list[AssocPoly]:
+        values = fillers.get(nu)
+        if values is None:
+            values = fillers[nu] = [expander.monomial(m)
+                                    for m in component(nu).basis]
+        return values
+
+    return basis
+
+
+def _derived_brackets(mu: MultiDeg, basis: Callable) -> Iterator[AssocPoly]:
+    """Expansions of the brackets [p, q], p and q in ``Component.basis`` at
+    ν1 and ν2 with ν1 + ν2 = mu and |ν1|, |ν2| >= 2, each unordered pair
+    {p, q} once.  ``basis`` gives the expanded bases (``_basis_expansions``).
+
+    They span the mu-part of L'' = [L', L'], where L' = L_{>=2}.  L' is the
+    sum of its components, each spanned by its basis, and the bracket is
+    bilinear, so brackets of basis elements span it.  Over GF(2),
+    [p, q] = [q, p] and [p, p] = 0, so one bracket per unordered pair of
+    distinct elements spans the same space.
+    """
+    for nu1 in mu.sub_multidegrees():
+        nu2 = mu - nu1
+        if nu1.total < 2 or nu2.total < 2:
+            continue
+        if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
+            continue
+        seconds = basis(nu2)
+        for i, p in enumerate(basis(nu1)):
+            for q in seconds[i + 1:] if nu2 == nu1 else seconds:
+                yield commutator(p, q)
+
+
+@_memo
+def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     """The md-component of the T-ideal of the base relation
     (a) = [[x1, x2], [x3, x4], x5], the same subspace as
     ``consequences(BASE_SET, md)``, built in closed form: the span of the
@@ -772,47 +811,20 @@ def base_consequences(md: MultiDeg) -> GF2Subspace:
     its polarization closure is (a) itself and the enumerated span is
     T(a) at md, the subspace computed here.
 
-    Over GF(2), [p, q] = [q, p] and [p, p] = 0, so each unordered pair
-    {p, q} is taken once.  A ν1 with total(md) - |ν1| < 3 leaves no room
-    for ν2 and ν3 and is skipped before its component is built.
+    For each ν3 the [p, q] are ``_derived_brackets`` at md - ν3, which has
+    none below total 4, so no component above total(md) - 3 is built.
     """
-    check_degree_cap(md.total)
-    got = _BASE_CACHE.get(md)
-    if got is not None:
-        return got
     idx = word_index(md)
     ech = Echelon(idx)
-    expander = assoc_evaluator(md.indices())
-    fillers: dict[MultiDeg, list[AssocPoly]] = {}
-
-    def basis(nu: MultiDeg) -> list[AssocPoly]:
-        values = fillers.get(nu)
-        if values is None:
-            values = fillers[nu] = [expander.monomial(m)
-                                    for m in component(nu).basis]
-        return values
-
-    for nu1 in md.sub_multidegrees():
-        if nu1.total < 2 or md.total - nu1.total < 3:
+    basis = _basis_expansions(md)
+    for nu3 in md.sub_multidegrees():
+        if nu3.total < 1 or md.total - nu3.total < 4:
             continue
-        rest = md - nu1
-        for nu2 in rest.sub_multidegrees():
-            if nu2.total < 2 or rest.total - nu2.total < 1:
-                continue
-            if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
-                continue
-            thirds = basis(rest - nu2)
-            seconds = basis(nu2)
-            for i, p in enumerate(basis(nu1)):
-                for q in seconds[i + 1:] if nu2 == nu1 else seconds:
-                    pq = commutator(p, q)
-                    for r in thirds:
-                        vec = idx.vector(commutator(pq, r).words)
-                        if vec:
-                            ech.insert(vec)
-    result = GF2Subspace(ech)
-    _BASE_CACHE[md] = result
-    return result
+        thirds = basis(nu3)
+        for pq in _derived_brackets(md - nu3, basis):
+            for r in thirds:
+                ech.insert(idx.vector(commutator(pq, r).words))
+    return GF2Subspace(ech)
 
 
 def zero_in_quotient(p: PolyLike) -> bool:
@@ -898,10 +910,9 @@ def _word_pair_spans(n: int) -> tuple[GF2Subspace, GF2Subspace]:
     """
     w = word_pair_element(n)
     md = w.multidegree()
-    check_degree_cap(md.total)
+    idx = word_index(md)
     others = tuple(Generator(f"wp{k}", word_pair_element(k))
                    for k in range(3, md.total + 1) if k != n)
-    idx = word_index(md)
     without = span(idx, itertools.chain(
         base_consequences(md).basis_vectors(),
         consequences(GeneratorSet(others), md).basis_vectors()))
@@ -938,25 +949,11 @@ def _prefix_condition(seq: Sequence[int], sorted_tail: bool) -> bool:
 
 
 def _second_derived_vectors(md: MultiDeg) -> list[int]:
-    """Expansions spanning the md-part of [[L, L], [L, L]]: brackets of two
-    left-normalized monomials of degree >= 2."""
+    """Expansions spanning the md-part of [[L, L], [L, L]]: the brackets of
+    ``_derived_brackets``."""
     idx = word_index(md)
-    expander = assoc_evaluator(md.indices())
-    out: list[int] = []
-    seen: set[int] = set()
-    for mu in md.sub_multidegrees():
-        nu_total = md.total - mu.total
-        if mu.total < 2 or nu_total < 2 or mu.total > nu_total:
-            continue
-        nu = md - mu
-        for m1 in monomials_of(mu):
-            for m2 in monomials_of(nu):
-                vec = idx.vector(commutator(expander.monomial(m1),
-                                            expander.monomial(m2)).words)
-                if vec and vec not in seen:
-                    seen.add(vec)
-                    out.append(vec)
-    return out
+    return [idx.vector(pq.words)
+            for pq in _derived_brackets(md, _basis_expansions(md))]
 
 
 def _filtered_product_vectors(md: MultiDeg) -> list[int]:
@@ -1009,13 +1006,12 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
     if md.total < 2:
         raise ValueError("the statements concern degrees >= 2")
-    check_degree_cap(md.total)
     comp = component(md)
     idx = comp.index
     quotient_rows = base_consequences(md).basis_vectors()
     if part in (1, 2):
         keep = [expansion_vector(idx, m)
-                for m, seq in zip(comp.monomials, idx.labels)
+                for m, seq in zip(monomials_of(md), idx.labels)
                 if _prefix_condition(seq, sorted_tail=(part == 2))]
         extra = list(quotient_rows)
         if part == 2:

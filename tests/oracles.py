@@ -243,3 +243,26 @@ def reference_consequence_words(gens, md):
 
             rec(0, target, {})
     return out
+
+
+def reference_second_derived_words(md):
+    """Expansions, as frozensets of words, of every bracket [m1, m2] of
+    left-normalized monomials of degree >= 2 whose leaves together make up
+    md, in both orders.  No basis is chosen and nothing is deduplicated."""
+    from lieid.lie_core import assoc_expand, bracket, word_monomial
+
+    counts = dict(md.items())
+    out = []
+    for first in _submultisets(counts):
+        rest = {i: m - first.get(i, 0) for i, m in counts.items()}
+        if sum(first.values()) < 2 or sum(rest.values()) < 2:
+            continue
+        left = [i for i, m in first.items() for _ in range(m)]
+        right = [i for i, m in rest.items() for _ in range(m)]
+        for a in distinct_permutations(left):
+            for b in distinct_permutations(right):
+                words = assoc_expand(bracket(word_monomial(a),
+                                             word_monomial(b))).words
+                if words:
+                    out.append(words)
+    return out

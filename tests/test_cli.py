@@ -305,7 +305,11 @@ def test_json_is_deterministic(capsys):
 # --- behavior that needs a fresh process -----------------------------------
 
 def run_subprocess(*argv, env_extra=None):
+    # the child imports the lieid this process imported
+    package_root = str(Path(tideal.__file__).parents[1])
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

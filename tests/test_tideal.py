@@ -64,7 +64,12 @@ from lieid.tideal import (
     zero_in_quotient,
 )
 
-from oracles import distinct_permutations, naive_rank, reference_consequence_words
+from oracles import (
+    distinct_permutations,
+    naive_rank,
+    reference_consequence_words,
+    reference_second_derived_words,
+)
 
 
 class TestComponent:
@@ -124,7 +129,7 @@ class TestComponent:
     def test_lie_poly_from_vector_roundtrip(self):
         md = MultiDeg.multilinear(4)
         comp = component(md)
-        vectors = [expansion_vector(comp.index, m) for m in comp.monomials]
+        vectors = [expansion_vector(comp.index, m) for m in monomials_of(md)]
         rng = random.Random(31)
         for _ in range(10):
             target = 0
@@ -136,11 +141,12 @@ class TestComponent:
     @pytest.mark.parametrize("md", canonical_multidegrees(2, 5), ids=str)
     def test_lie_poly_from_vector_equals_solving_over_every_monomial(self, md):
         comp = component(md)
-        vectors = [expansion_vector(comp.index, m) for m in comp.monomials]
+        monos = monomials_of(md)
+        vectors = [expansion_vector(comp.index, m) for m in monos]
         space = span(comp.index, vectors)
         for vec in space.basis_vectors() + identities(md).basis_vectors():
             sol = solve_in_span(comp.index, vectors, vec)
-            expected = LiePoly.of(*(comp.monomials[i] for i in sol))
+            expected = LiePoly.of(*(monos[i] for i in sol))
             assert lie_poly_from_vector(md, vec) == expected
 
     def test_lie_poly_from_vector_rejects_non_members(self):
@@ -252,11 +258,10 @@ class TestIdentities:
 
     def test_quotient_membership_does_not_change_verdicts(self):
         md = MultiDeg.multilinear(5)
-        comp = component(md)
         cons = consequences(BASE_SET, md)
         rng = random.Random(42)
         for _ in range(8):
-            p = LiePoly.of(*rng.sample(comp.monomials, 2))
+            p = LiePoly.of(*rng.sample(monomials_of(md), 2))
             c = lie_poly_from_vector(md, rng.choice(cons.basis_vectors()))
             assert is_identity_gl2(p) == is_identity_gl2(p + c)
 
@@ -378,22 +383,6 @@ class TestBaseConsequences:
         base_consequences(md)
         assert max(mu.total for mu in built) == md.total - 3
 
-    def test_cap_checked_before_the_memo(self, degree_cap_guard):
-        md = MultiDeg.multilinear(5)
-        base_consequences(md)
-        degree_cap_guard(4)
-        with pytest.raises(DegreeCapError):
-            base_consequences(md)
-
-    def test_clear_caches_empties_the_memo(self):
-        md = MultiDeg.multilinear(5)
-        first = base_consequences(md)
-        assert base_consequences(md) is first
-        clear_caches()
-        again = base_consequences(md)
-        assert again is not first
-        assert again == first
-
     @pytest.mark.parametrize("n", [3, 4])
     def test_word_pair_span_without_the_member(self, n):
         # the base quotient plus the other members' consequences, against
@@ -404,6 +393,75 @@ class TestBaseConsequences:
                        for k in range(3, md.total + 1) if k != n)
         assert without == consequences(
             GeneratorSet(BASE_SET.generators + others), md)
+
+
+MD5 = MultiDeg.multilinear(5)
+# every memoized function of tideal, with arguments for one call; the last
+# takes no multidegree, so no degree cap applies to it
+MEMOIZED = [pytest.param(name, args, id=name) for name, args in [
+    ("component", (MD5,)),
+    ("consequences", (BASE_SET, MD5)),
+    ("identities", (MD5,)),
+    ("base_consequences", (MD5,)),
+    ("word_index", (MD5,)),
+    ("monomials_of", (MD5,)),
+    ("_polarization_closure", (as_poly(parse("x1 x2 x1 x3")),)),
+]]
+
+
+class TestMemo:
+    """The one memo behind tideal's caches and its degree-cap check."""
+
+    def test_every_memo_is_listed(self):
+        assert len(tideal._MEMOS) == len(MEMOIZED)
+
+    @pytest.mark.parametrize("name,args", MEMOIZED[:-1])
+    def test_cap_checked_before_the_memo(self, name, args, degree_cap_guard):
+        fn = getattr(tideal, name)
+        fn(*args)
+        degree_cap_guard(4)
+        with pytest.raises(DegreeCapError):
+            fn(*args)
+
+    @pytest.mark.parametrize("name,args", MEMOIZED)
+    def test_clear_caches_empties_the_memo(self, name, args):
+        fn = getattr(tideal, name)
+        first = fn(*args)
+        assert fn(*args) is first
+        clear_caches()
+        again = fn(*args)
+        assert again is not first
+        assert again == first
+
+    def test_generation_check_caches_the_whole_span(self, monkeypatch):
+        # the rank-target run is memoized under the plain key
+        md = MultiDeg.multilinear(5)
+        clear_caches()
+        rep = check_generation(md)
+
+        def no_enumeration(*args):
+            raise AssertionError("the consequence span was enumerated again")
+
+        monkeypatch.setattr(tideal, "_consequence_vectors", no_enumeration)
+        cached = consequences(theorem_generators(5), md)
+        assert consequences(theorem_generators(5), md) is cached
+        assert cached.dim == rep.dim_consequences
+
+    def test_word_pair_independence_over_the_cap(self, degree_cap_guard,
+                                                 monkeypatch):
+        # refused before the other members of the family are built
+        built = []
+        real = tideal.word_pair_element
+
+        def counted(k):
+            built.append(k)
+            return real(k)
+
+        monkeypatch.setattr(tideal, "word_pair_element", counted)
+        degree_cap_guard(4)
+        with pytest.raises(DegreeCapError):
+            word_pair_independence(3)  # total degree 5
+        assert set(built) == {3}
 
 
 class TestCoefficientCalculus:
@@ -819,6 +877,16 @@ class TestDerivedSpans:
         rep = derived_cube_zero_check(6)
         assert rep.all_zero
         assert rep.instances > 0
+
+    @pytest.mark.parametrize("md", canonical_multidegrees(4, 6), ids=repr)
+    def test_pair_walk_spans_every_monomial_bracket(self, md):
+        # one bracket per unordered pair of basis elements against [m1, m2]
+        # over every ordered pair of monomials
+        got = [set(word_index(md).support(v))
+               for v in tideal._second_derived_vectors(md)]
+        ref = [set(words) for words in reference_second_derived_words(md)]
+        rank = naive_rank(ref)
+        assert naive_rank(got) == rank == naive_rank(got + ref), md
 
     @pytest.mark.parametrize("total", [0, 3, 5])
     def test_cube_check_below_degree_six_rejected(self, total):
