@@ -307,8 +307,75 @@ def _polarization_closure(p: LiePoly, /) -> tuple[LiePoly, ...]:
     return tuple(seen)
 
 
+class _Fillers:
+    """The expansions one batch of bracket instances at md draws on, each
+    built once by the batch's one evaluator: the bases of components, every
+    monomial of a multidegree, the letter tails of a remaining multidegree,
+    and a slot's choices.  A batch builds one and drops it when it ends;
+    nothing it holds refers back to it, so it is freed at once.
+    """
+
+    def __init__(self, md: MultiDeg):
+        self._expander = assoc_evaluator(md.indices())
+        self._memo: dict[tuple, list] = {}
+
+    def _once(self, key: tuple, build: Callable[[], list]) -> list:
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
+    def basis(self, nu: MultiDeg) -> list[AssocPoly]:
+        """The expansions of ``component(nu).basis``."""
+        return self._once(("basis", nu), lambda: [
+            self._expander.monomial(m) for m in component(nu).basis])
+
+    def monomials(self, nu: MultiDeg) -> list[AssocPoly]:
+        """The expansions of ``monomials_of(nu)``."""
+        return self._once(("monomials", nu), lambda: [
+            self._expander.monomial(m) for m in monomials_of(nu)])
+
+    def tails(self, remaining: MultiDeg) -> list[list[AssocPoly]]:
+        """The letters of every arrangement of ``remaining``."""
+        letters = self._expander.assign
+        return self._once(("tails", remaining), lambda: [
+            [letters[i] for i in seq] for seq in _arrangements(remaining)])
+
+    def choices(self, d: int, remaining: MultiDeg,
+                rest_min: int) -> list[tuple[MultiDeg, list[AssocPoly]]]:
+        """The fillers of a slot of degree d, by the multidegree they leave
+        of ``remaining``, which must keep total at least ``rest_min``: a
+        basis of each component if d = 1, every monomial otherwise."""
+        return self._once(("choices", d, remaining, rest_min), lambda: [
+            (remaining - mu.scaled(d),
+             self.basis(mu) if d == 1 else self.monomials(mu))
+            for mu in remaining.floor_div(d).sub_multidegrees()
+            if mu.total and remaining.total - d * mu.total >= rest_min])
+
+
+def _fillings(plan: Sequence[tuple[int, int, int]], k: int,
+              remaining: MultiDeg, fillers: _Fillers,
+              assignment: dict[int, AssocPoly]) -> Iterator[MultiDeg]:
+    """Fill the slots ``plan[k:]``, triples (variable, degree, total the
+    later slots need), in ``assignment``; yield the multidegree left for the
+    tail each time every slot holds a filler.
+
+    It recurses at module level: a nested function calling itself would be
+    a reference cycle holding ``fillers`` until the next garbage collection.
+    """
+    if k == len(plan):
+        yield remaining
+        return
+    v, d, rest_min = plan[k]
+    for rest, values in fillers.choices(d, remaining, rest_min):
+        for value in values:
+            assignment[v] = value
+            yield from _fillings(plan, k + 1, rest, fillers, assignment)
+    assignment.pop(v, None)
+
+
 def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
-                      expander: Evaluator[AssocPoly]) -> Iterator[int]:
+                      fillers: _Fillers) -> Iterator[int]:
     """Expansion vectors of multidegree-md elements of the form
     L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
     same space as all such elements with the w's left-normalized monomials.
@@ -324,81 +391,26 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
     Each instance is evaluated directly in the free associative algebra,
     slots taking the expansions of their fillers and bracket nodes the
     commutator uv + vu.  Expansion is a Lie homomorphism, so this is the
-    expansion of the substituted Lie element, without building it.  Fillers
-    and letters come from ``expander``, the batch's own evaluator, so a
-    filler shared by many instances and forms is expanded once.
-
-    The walk is a tree over states (slot, remaining multidegree), and many
-    branches reach the same state.  So a state's choices, pairs of the rest
-    multidegree and the expanded fillers, are built once, as are the filler
-    list of each sub-multidegree and the letter tails of each remaining
-    multidegree.  These memos belong to this call and are emptied when it
-    ends.  The vectors come out in the order of the plain recursion.
+    expansion of the substituted Lie element, without building it.  Fillers,
+    slot choices and letter tails come from ``fillers``, the batch's owner,
+    so each is built once for every form of the batch.
     """
     slots = L.multidegree().items()
-    n_slots = len(slots)
-    suffix_min = [0] * (n_slots + 1)
-    for k in range(n_slots - 1, -1, -1):
-        suffix_min[k] = suffix_min[k + 1] + slots[k][1]
+    plan = [(v, d, sum(e for _, e in slots[k + 1:]))
+            for k, (v, d) in enumerate(slots)]
     assignment: dict[int, AssocPoly] = {}
-    filler_lists: dict[tuple[bool, MultiDeg], list[AssocPoly]] = {}
-    choice_lists: dict[tuple[int, MultiDeg], list] = {}
-    tail_lists: dict[MultiDeg, list[list[AssocPoly]]] = {}
-
-    def choices(k: int, remaining: MultiDeg) -> list:
-        d = slots[k][1]
-        out = []
-        for mu in remaining.floor_div(d).sub_multidegrees():
-            if mu.total == 0:
-                continue
-            if remaining.total - d * mu.total < suffix_min[k + 1]:
-                continue
-            key = (d == 1, mu)
-            fillers = filler_lists.get(key)
-            if fillers is None:
-                monos = component(mu).basis if d == 1 else monomials_of(mu)
-                fillers = filler_lists[key] = [expander.monomial(w)
-                                               for w in monos]
-            out.append((remaining - mu.scaled(d), fillers))
-        return out
-
-    def rec(k: int, remaining: MultiDeg) -> Iterator[int]:
-        if k == n_slots:
-            value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
-            if value.is_zero():
-                return
-            tails = tail_lists.get(remaining)
-            if tails is None:
-                tails = tail_lists[remaining] = [
-                    [expander.assign[letter] for letter in seq]
-                    for seq in _arrangements(remaining)]
-            for seq in tails:
-                tail = value
-                for letter in seq:
-                    tail = commutator(tail, letter)
-                    if tail.is_zero():
-                        break
-                else:
-                    yield idx.vector(tail.words)
-            return
-        v = slots[k][0]
-        state = (k, remaining)
-        options = choice_lists.get(state)
-        if options is None:
-            options = choice_lists[state] = choices(k, remaining)
-        for rest, fillers in options:
-            for value in fillers:
-                assignment[v] = value
-                yield from rec(k + 1, rest)
-        assignment.pop(v, None)
-
-    # rec refers to itself, so what it holds waits for a full garbage
-    # collection; the memos are emptied as soon as the walk ends
-    try:
-        yield from rec(0, md)
-    finally:
-        for memo in (filler_lists, choice_lists, tail_lists):
-            memo.clear()
+    for remaining in _fillings(plan, 0, md, fillers, assignment):
+        value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
+        if value.is_zero():
+            continue
+        for seq in fillers.tails(remaining):
+            tail = value
+            for letter in seq:
+                tail = commutator(tail, letter)
+                if tail.is_zero():
+                    break
+            else:
+                yield idx.vector(tail.words)
 
 
 @_memo
@@ -440,7 +452,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
                          idx: WordIndex) -> Iterator[int]:
     """Instance vectors spanning the consequences, highest degree first."""
     ordered = sorted(gens.generators, key=lambda g: -g.total_degree)
-    expander = assoc_evaluator(md.indices())
+    fillers = _Fillers(md)
     for gen in ordered:
         if gen.total_degree > md.total:
             continue
@@ -449,7 +461,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
         else:
             forms = (_canonical_variables(gen.poly),)
         for L in forms:
-            yield from _instance_vectors(L, md, idx, expander)
+            yield from _instance_vectors(L, md, idx, fillers)
 
 
 # ---------------------------------------------------------------------------
@@ -745,26 +757,10 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
 # ---------------------------------------------------------------------------
 # the quotient by the base relation
 
-def _basis_expansions(md: MultiDeg) -> Callable[[MultiDeg], list[AssocPoly]]:
-    """The expansions of ``component(nu).basis`` for nu below md, each list
-    built on first use by one evaluator; the memo belongs to the caller."""
-    expander = assoc_evaluator(md.indices())
-    fillers: dict[MultiDeg, list[AssocPoly]] = {}
-
-    def basis(nu: MultiDeg) -> list[AssocPoly]:
-        values = fillers.get(nu)
-        if values is None:
-            values = fillers[nu] = [expander.monomial(m)
-                                    for m in component(nu).basis]
-        return values
-
-    return basis
-
-
-def _derived_brackets(mu: MultiDeg, basis: Callable) -> Iterator[AssocPoly]:
+def _derived_brackets(mu: MultiDeg, fillers: _Fillers) -> Iterator[AssocPoly]:
     """Expansions of the brackets [p, q], p and q in ``Component.basis`` at
     ν1 and ν2 with ν1 + ν2 = mu and |ν1|, |ν2| >= 2, each unordered pair
-    {p, q} once.  ``basis`` gives the expanded bases (``_basis_expansions``).
+    {p, q} once, the expanded bases coming from ``fillers``.
 
     They span the mu-part of L'' = [L', L'], where L' = L_{>=2}.  L' is the
     sum of its components, each spanned by its basis, and the bracket is
@@ -778,8 +774,8 @@ def _derived_brackets(mu: MultiDeg, basis: Callable) -> Iterator[AssocPoly]:
             continue
         if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
             continue
-        seconds = basis(nu2)
-        for i, p in enumerate(basis(nu1)):
+        seconds = fillers.basis(nu2)
+        for i, p in enumerate(fillers.basis(nu1)):
             for q in seconds[i + 1:] if nu2 == nu1 else seconds:
                 yield commutator(p, q)
 
@@ -816,12 +812,12 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     """
     idx = word_index(md)
     ech = Echelon(idx)
-    basis = _basis_expansions(md)
+    fillers = _Fillers(md)
     for nu3 in md.sub_multidegrees():
         if nu3.total < 1 or md.total - nu3.total < 4:
             continue
-        thirds = basis(nu3)
-        for pq in _derived_brackets(md - nu3, basis):
+        thirds = fillers.basis(nu3)
+        for pq in _derived_brackets(md - nu3, fillers):
             for r in thirds:
                 ech.insert(idx.vector(commutator(pq, r).words))
     return GF2Subspace(ech)
@@ -906,13 +902,15 @@ def _word_pair_spans(n: int) -> tuple[GF2Subspace, GF2Subspace]:
     T-ideals generated by its parts, and so is each multidegree component
     of it.  The polarization closure is taken per generator, so the
     family's enumeration is the union of the members' enumerations, and the
-    n-th member adds exactly its own instances.
+    n-th member adds exactly its own instances.  Only the members k < n are
+    built: a member k > n has total degree k + 2 > total(md), so it has no
+    instance at md.
     """
     w = word_pair_element(n)
     md = w.multidegree()
     idx = word_index(md)
     others = tuple(Generator(f"wp{k}", word_pair_element(k))
-                   for k in range(3, md.total + 1) if k != n)
+                   for k in range(3, n))
     without = span(idx, itertools.chain(
         base_consequences(md).basis_vectors(),
         consequences(GeneratorSet(others), md).basis_vectors()))
@@ -953,7 +951,7 @@ def _second_derived_vectors(md: MultiDeg) -> list[int]:
     ``_derived_brackets``."""
     idx = word_index(md)
     return [idx.vector(pq.words)
-            for pq in _derived_brackets(md, _basis_expansions(md))]
+            for pq in _derived_brackets(md, _Fillers(md))]
 
 
 def _filtered_product_vectors(md: MultiDeg) -> list[int]:
@@ -962,15 +960,10 @@ def _filtered_product_vectors(md: MultiDeg) -> list[int]:
     and i1 >= p when i2 = q."""
     idx = word_index(md)
     out: list[int] = []
-    for mu in md.sub_multidegrees():
-        if mu.total != md.total - 2 or mu.total < 2:
-            continue
-        nu = md - mu
-        letters = nu.indices()
-        if len(letters) != 2:
-            continue
-        q, p = letters  # indices() is sorted ascending
-        for seq in _arrangements(mu):
+    if md.total < 4:
+        return out
+    for q, p in itertools.combinations(md.indices(), 2):
+        for seq in _arrangements(md - MultiDeg({q: 1, p: 1})):
             if not _prefix_condition(seq, sorted_tail=True):
                 continue
             if len(seq) >= 3 and not q <= seq[2]:
@@ -1001,6 +994,13 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     second derived part as well.  part 3: the filtered products span the
     second derived part, modulo the base T-ideal.  The base T-ideal's
     component is ``base_consequences``, built in closed form.
+
+    In parts 1 and 2 every spanning vector lies in the expansion of the
+    component: the monomials and the brackets of the second derived part
+    are Lie elements of multidegree md, and so are the base consequences.
+    That expansion has dimension ``comp.dim``, so the vectors span the
+    component exactly when their span has that dimension, which is then
+    ``dim_target``.
     """
     if part not in (1, 2, 3):
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
@@ -1013,16 +1013,14 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
         keep = [expansion_vector(idx, m)
                 for m, seq in zip(monomials_of(md), idx.labels)
                 if _prefix_condition(seq, sorted_tail=(part == 2))]
-        extra = list(quotient_rows)
         if part == 2:
-            extra.extend(_second_derived_vectors(md))
-        lhs = span(idx, keep + extra)
-        # the basis spans what all the monomials span
-        rhs = span(idx, list(comp.basis_vectors) + extra)
-    else:
-        keep = _filtered_product_vectors(md)
+            keep.extend(_second_derived_vectors(md))
         lhs = span(idx, keep + list(quotient_rows))
-        rhs = span(idx, _second_derived_vectors(md) + list(quotient_rows))
+        return DerivedSpanReport(md, part, lhs.dim == comp.dim, lhs.dim,
+                                 comp.dim)
+    keep = _filtered_product_vectors(md)
+    lhs = span(idx, keep + list(quotient_rows))
+    rhs = span(idx, _second_derived_vectors(md) + list(quotient_rows))
     return DerivedSpanReport(md, part, lhs == rhs, lhs.dim, rhs.dim)
 
 
@@ -1051,7 +1049,7 @@ def derived_cube_zero_check(total: int) -> CubeReport:
     all_zero = True
     for md in canonical_multidegrees(total, total):
         idx = word_index(md)
-        expander = assoc_evaluator(md.indices())
+        fillers = _Fillers(md)
         quotient = base_consequences(md)
         for mu1 in md.sub_multidegrees():
             if mu1.total < 2 or md.total - mu1.total < 4:
@@ -1061,13 +1059,12 @@ def derived_cube_zero_check(total: int) -> CubeReport:
                 mu3 = rest1 - mu2
                 if mu2.total < 2 or mu3.total < 2:
                     continue
-                for m1 in monomials_of(mu1):
-                    for m2 in monomials_of(mu2):
-                        inner = commutator(expander.monomial(m1),
-                                           expander.monomial(m2))
-                        for m3 in monomials_of(mu3):
+                for m1 in fillers.monomials(mu1):
+                    for m2 in fillers.monomials(mu2):
+                        inner = commutator(m1, m2)
+                        for m3 in fillers.monomials(mu3):
                             count += 1
-                            cube = commutator(inner, expander.monomial(m3))
+                            cube = commutator(inner, m3)
                             vec = idx.vector(cube.words)
                             if vec and not quotient.contains(vec):
                                 all_zero = False

@@ -266,3 +266,55 @@ def reference_second_derived_words(md):
                 if words:
                     out.append(words)
     return out
+
+
+# --- earlier routes of the package, kept as references ---------------------
+
+def reference_derived_span(md, part):
+    """(spans, dim_filtered, dim_target) of ``derived_span_check`` at parts
+    1 and 2 by two spans: the kept words with the extra rows, against
+    every basis vector of the component with the same rows."""
+    from lieid.gf2linalg import span
+    from lieid.tideal import (_prefix_condition, _second_derived_vectors,
+                              base_consequences, component, expansion_vector,
+                              monomials_of)
+
+    comp = component(md)
+    idx = comp.index
+    keep = [expansion_vector(idx, m)
+            for m, seq in zip(monomials_of(md), idx.labels)
+            if _prefix_condition(seq, sorted_tail=(part == 2))]
+    extra = list(base_consequences(md).basis_vectors())
+    if part == 2:
+        extra.extend(_second_derived_vectors(md))
+    lhs = span(idx, keep + extra)
+    rhs = span(idx, list(comp.basis_vectors) + extra)
+    return lhs == rhs, lhs.dim, rhs.dim
+
+
+def reference_filtered_product_vectors(md):
+    """The products of ``_filtered_product_vectors`` by a scan of every
+    sub-multidegree mu whose complement is two distinct letters q < p."""
+    from lieid.lie_core import leaf, pair, word_monomial
+    from lieid.tideal import (_arrangements, _prefix_condition,
+                              expansion_vector, word_index)
+
+    idx = word_index(md)
+    out = []
+    for mu in md.sub_multidegrees():
+        if mu.total != md.total - 2 or mu.total < 2:
+            continue
+        letters = (md - mu).indices()
+        if len(letters) != 2:
+            continue
+        q, p = letters
+        for seq in _arrangements(mu):
+            if not _prefix_condition(seq, sorted_tail=True):
+                continue
+            if len(seq) >= 3 and not q <= seq[2]:
+                continue
+            if seq[1] < q or (seq[1] == q and seq[0] < p):
+                continue
+            prod = pair(word_monomial(seq), pair(leaf(p), leaf(q)))
+            out.append(expansion_vector(idx, prod))
+    return out

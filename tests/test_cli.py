@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lieid import tideal
+from lieid import cli, tideal
 from lieid.cli import LEMMAS, MAX_PRINTED_INDEX, main
 from lieid.expr import parse
 from lieid.lie_core import as_poly, assoc_expand, get_degree_cap, is_zero
@@ -229,7 +229,8 @@ class TestLemmas:
             return original(p)
 
         monkeypatch.setattr(tideal, "zero_in_quotient", record)
-        details, ok = LEMMAS["LFid"](seed)
+        monkeypatch.setattr(cli, "TAIL_REWRITING_SEED", seed)
+        details, ok = LEMMAS["LFid"]()
         assert ok, details
         assert len(checked) == 6
         assert not any(is_zero(p) for p in checked)

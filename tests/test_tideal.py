@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import json
 import math
 import random
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +20,6 @@ from lieid.lie_core import (
     LiePoly,
     MultiDeg,
     as_poly,
-    assoc_evaluator,
     assoc_expand,
     commutator,
     leaf,
@@ -68,6 +69,8 @@ from oracles import (
     distinct_permutations,
     naive_rank,
     reference_consequence_words,
+    reference_derived_span,
+    reference_filtered_product_vectors,
     reference_second_derived_words,
 )
 
@@ -685,7 +688,7 @@ class TestFastPaths:
 
         monkeypatch.setattr(tideal, "component", counted)
         vectors = list(tideal._instance_vectors(
-            L, md, word_index(md), assoc_evaluator(md.indices())))
+            L, md, word_index(md), tideal._Fillers(md)))
         assert vectors
         assert calls and max(calls.values()) <= n_slots, calls.most_common(3)
 
@@ -888,12 +891,68 @@ class TestDerivedSpans:
         rank = naive_rank(ref)
         assert naive_rank(got) == rank == naive_rank(got + ref), md
 
+    @pytest.mark.parametrize("md", canonical_multidegrees(2, 6), ids=repr)
+    def test_parts_one_and_two_match_the_two_span_route(self, md):
+        # the target span is the whole component, so its dimension is dim
+        for part in (1, 2):
+            rep = derived_span_check(md, part)
+            got = (rep.spans, rep.dim_filtered, rep.dim_target)
+            assert got == reference_derived_span(md, part), (md, part)
+
+    @pytest.mark.parametrize("md", canonical_multidegrees(2, 6), ids=repr)
+    def test_letter_pairs_match_the_sub_multidegree_scan(self, md):
+        assert (tideal._filtered_product_vectors(md)
+                == reference_filtered_product_vectors(md))
+
     @pytest.mark.parametrize("total", [0, 3, 5])
     def test_cube_check_below_degree_six_rejected(self, total):
         # no bracket [[m1, m2], m3] of degree-2 monomials has total < 6, so
         # the check would pass over zero instances
         with pytest.raises(ValueError, match="6"):
             derived_cube_zero_check(total)
+
+
+class TestBatchRelease:
+    """A batch's filler owner and its evaluator are freed when the batch
+    ends, by reference counting alone."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: check_generation(MultiDeg.multilinear(6)),
+            lambda: base_consequences(MultiDeg.multilinear(6)),
+            lambda: word_pair_independence(3),
+        ],
+        ids=["check_generation", "base_consequences", "word_pair_independence"],
+    )
+    def test_owner_and_evaluator_die_with_the_batch(self, monkeypatch, run):
+        made = []
+        real_evaluator = tideal.assoc_evaluator
+
+        def recorded_evaluator(indices):
+            evaluator = real_evaluator(indices)
+            made.append(weakref.ref(evaluator))
+            return evaluator
+
+        class Recorded(tideal._Fillers):
+            def __init__(self, md):
+                super().__init__(md)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(tideal, "assoc_evaluator", recorded_evaluator)
+        monkeypatch.setattr(tideal, "_Fillers", Recorded)
+        clear_caches()
+        gc.collect()
+        # with the cycle collector off, anything caught in a reference
+        # cycle outlives the call
+        gc.disable()
+        try:
+            run()
+            alive = [ref() for ref in made if ref() is not None]
+        finally:
+            gc.enable()
+        assert made
+        assert not alive, alive
 
 
 class TestMultidegreeIteration:
