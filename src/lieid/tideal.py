@@ -179,23 +179,24 @@ def clear_caches() -> None:
 
 def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
     """Distinct sequences with leaf multiset md, in lexicographic order."""
-    counts = dict(md.items())
-    seq: list[int] = []
-    total = md.total
+    return _arranged(md.indices(), [m for _, m in md.items()], [], md.total)
 
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for idx in sorted(counts):
-            if counts[idx] > 0:
-                counts[idx] -= 1
-                seq.append(idx)
-                yield from rec()
-                seq.pop()
-                counts[idx] += 1
 
-    return rec()
+def _arranged(letters: tuple[int, ...], counts: list[int], seq: list[int],
+              total: int) -> Iterator[tuple[int, ...]]:
+    """Extend ``seq`` by every arrangement of the letters left in
+    ``counts``, letters in increasing order.  It recurses at module level,
+    as ``_fillings`` does, so no call leaves a reference cycle behind."""
+    if len(seq) == total:
+        yield tuple(seq)
+        return
+    for k, letter in enumerate(letters):
+        if counts[k]:
+            counts[k] -= 1
+            seq.append(letter)
+            yield from _arranged(letters, counts, seq, total)
+            seq.pop()
+            counts[k] += 1
 
 
 @_memo
@@ -241,10 +242,33 @@ class Component:
 @_memo
 def component(md: MultiDeg, /) -> Component:
     """The component at md.  Each monomial is expanded on its own: one
-    evaluator over all of them would hold every subtree at once."""
+    evaluator over all of them would hold every subtree at once.
+
+    When the smallest letter a of md occurs once, the greedy basis is, in
+    closed form, the monomials [a, y2, ..., yn] over the arrangements y of
+    md - e_a, in lex order, and no elimination is run.  Proof:
+
+    - They come first in ``monomials_of(md)``, as a is the smallest letter.
+    - They are independent.  The expansion of [u, y] is uy + yu, so each
+      word of the expansion of [a, y2, ..., yn] puts every y_k at the left
+      or the right end of the word built so far.  As a occurs once, only
+      the choice "right" at every step gives a word beginning with a:
+      a y2 ... yn, once.  Distinct monomials have distinct such words, so
+      each expansion holds a word no other one holds, and the greedy pass
+      keeps every one of them.
+    - They span.  There are (n-1)!/prod m_i! of them, m_a being 1, and as
+      gcd(md) = 1 this is Witt's dimension (1/n) n!/prod m_i!.  So the
+      greedy pass keeps no later monomial.
+    """
     if md.total < 1:
         raise ValueError("component requires total degree >= 1")
     idx = word_index(md)
+    a, m_a = md.items()[0]
+    if m_a == 1:
+        basis = tuple(word_monomial((a,) + seq)
+                      for seq in _arrangements(md - MultiDeg({a: 1})))
+        return Component(md, idx, basis,
+                         tuple(expansion_vector(idx, m) for m in basis))
     ech = Echelon(idx)
     basis, basis_vectors = [], []
     for m in monomials_of(md):
@@ -564,19 +588,38 @@ def check_generation(md: MultiDeg) -> GenerationReport:
     return GenerationReport(md, cons.dim, ids.dim, cons == ids)
 
 
-def _renamed_vectors(p: LiePoly, n: int) -> list[int]:
-    """Expansion vectors, at 1^n, of the multilinear p under every renaming
-    x_k -> x_perm[k-1], perm running over ``itertools.permutations``.
+def _spin(idx: WordIndex, seeds: Iterable[int],
+          renamings: Sequence[dict[int, int]]) -> GF2Subspace:
+    """The least subspace of the frame ``idx`` that holds ``seeds`` and is
+    closed under the letter renamings, each a permutation of the letters
+    that maps the frame's words onto themselves.
 
-    p is expanded once and each renaming maps its words.  This is exact:
-    expansion commutes with renaming letters, as both are algebra maps that
-    agree on the letters, and a renaming is a bijection on words, so no two
-    words of the expansion collide.
+    Spinning, as the MeatAxe does: every vector that enlarges the span is
+    queued, and the image of each queued vector under each renaming is
+    inserted in turn.  A renaming permutes word positions, so an image is
+    read off the renaming's table of positions.  Expansion commutes with
+    renaming letters, so the image of an expansion vector is the expansion
+    of the renamed element.
+
+    The result V is the span W of the images of the seeds under the group
+    G the renamings generate.  V is spanned by the queued vectors and
+    holds each one's image under each renaming, so, renamings being
+    linear, V is closed under them, hence under G, whose inverses are
+    powers; so V contains W.  Each inserted vector is the image of a vector
+    of W under an element of G, so V lies in W.
     """
-    idx = word_index(MultiDeg.multilinear(n))
-    words = assoc_expand(p).words
-    return [idx.vector(tuple(perm[k - 1] for k in w) for w in words)
-            for perm in itertools.permutations(range(1, n + 1))]
+    tables = [[idx.positions[tuple(r[k] for k in w)] for w in idx.labels]
+              for r in renamings]
+    ech = Echelon(idx)
+    queue = [v for v in seeds if ech.insert(v)]
+    for v in queue:  # the queue grows as it is read
+        for table in tables:
+            image = 0
+            for i in bit_positions(v):
+                image |= 1 << table[i]
+            if ech.insert(image):
+                queue.append(image)
+    return GF2Subspace(ech)
 
 
 @dataclass(frozen=True)
@@ -594,6 +637,10 @@ def multilinear_span_check(n: int) -> SpanReport:
     """Span of the permuted three-term identities against the multilinear
     identity space, modulo the base T-ideal.
 
+    The span of the three-term identity under every renaming of its n
+    letters is spun (``_spin``) under (1 2) and (1 2 ... n), which generate
+    the symmetric group, rather than built from all n! renamings.
+
     The statement being checked lives in the quotient by the base relation:
     at n >= 5 the raw spans differ (the identity space contains the base
     consequences), so ``equal`` compares the spans with the base-relation
@@ -604,7 +651,9 @@ def multilinear_span_check(n: int) -> SpanReport:
         raise ValueError(f"need n >= 4, got {n}")
     md = MultiDeg.multilinear(n)
     idx = word_index(md)
-    sp = span(idx, _renamed_vectors(triple_identity(n), n))
+    swap = {k: k for k in range(1, n + 1)} | {1: 2, 2: 1}
+    cycle = {k: k % n + 1 for k in range(1, n + 1)}
+    sp = _spin(idx, [expansion_vector(idx, triple_identity(n))], (swap, cycle))
     ids = identities(md)
     quotient = base_consequences(md)
     sp_mod = span(idx, list(sp.basis_vectors()) + list(quotient.basis_vectors()))
@@ -891,44 +940,56 @@ class IndependenceReport:
     in_span_with: bool
 
 
-def _word_pair_spans(n: int) -> tuple[GF2Subspace, GF2Subspace]:
-    """The consequence spans, at the multidegree of the n-th word-pair
-    element, of its family without that member and with it.
-
-    "Without" is the base quotient ``base_consequences(md)``, built in
-    closed form, plus the consequences of the other members; the second
-    extends its basis by the instance vectors of the n-th member alone.
-    This is exact.  The T-ideal generated by a union is the sum of the
-    T-ideals generated by its parts, and so is each multidegree component
-    of it.  The polarization closure is taken per generator, so the
-    family's enumeration is the union of the members' enumerations, and the
-    n-th member adds exactly its own instances.  Only the members k < n are
-    built: a member k > n has total degree k + 2 > total(md), so it has no
-    instance at md.
+def _word_pair_without(n: int) -> Echelon:
+    """The consequence span, at the multidegree of the n-th word-pair
+    element, of its family without that member: the base quotient
+    ``base_consequences(md)``, built in closed form, plus the consequences
+    of the other members.  Only the members k < n are built: a member
+    k > n has total degree k + 2 > total(md), so it has no instance at md.
     """
-    w = word_pair_element(n)
-    md = w.multidegree()
-    idx = word_index(md)
+    md = word_pair_element(n).multidegree()
+    ech = Echelon(word_index(md))
     others = tuple(Generator(f"wp{k}", word_pair_element(k))
                    for k in range(3, n))
-    without = span(idx, itertools.chain(
-        base_consequences(md).basis_vectors(),
-        consequences(GeneratorSet(others), md).basis_vectors()))
-    added = _consequence_vectors(GeneratorSet((Generator(f"wp{n}", w),)), md, idx)
-    return without, span(idx, itertools.chain(without.basis_vectors(), added))
+    for vec in itertools.chain(
+            base_consequences(md).basis_vectors(),
+            consequences(GeneratorSet(others), md).basis_vectors()):
+        ech.insert(vec)
+    return ech
 
 
 def word_pair_independence(n: int) -> IndependenceReport:
-    """Membership of (x1...xn)(x1x2) in the consequence span of the rest of
-    its family (base relation included), and in the span once the n-th
-    member itself is added (see ``_word_pair_spans``)."""
+    """Membership of w = (x1...xn)(x1x2) in the consequence span of the rest
+    of its family (base relation included, ``_word_pair_without``), and in
+    the span once the n-th member itself is added.
+
+    The span with the member is the span without it extended by the
+    member's own instance vectors.  The T-ideal generated by a union is the
+    sum of the T-ideals generated by its parts, and so is each multidegree
+    component of it.  The polarization closure is taken per generator, so
+    the family's enumeration is the union of the members' enumerations, and
+    the n-th member adds exactly its own instances.
+
+    Those vectors are inserted only until w reduces to 0.  Membership is
+    monotone: a span that holds w is inside the full span, so w lies in the
+    full span too.  If w never reduces to 0, every vector went in, and the
+    echelon is the full span.
+    """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     w = word_pair_element(n)
     md = w.multidegree()
-    without, with_n = _word_pair_spans(n)
-    vec = expansion_vector(word_index(md), w)
-    return IndependenceReport(n, md, without.contains(vec), with_n.contains(vec))
+    ech = _word_pair_without(n)
+    residual = ech.reduce(expansion_vector(ech.index, w))
+    in_span_without = not residual
+    if residual:
+        member = GeneratorSet((Generator(f"wp{n}", w),))
+        for vec in _consequence_vectors(member, md, ech.index):
+            if ech.insert(vec):
+                residual = ech.reduce(residual)
+                if not residual:
+                    break
+    return IndependenceReport(n, md, in_span_without, not residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,17 +1135,16 @@ def derived_cube_zero_check(total: int) -> CubeReport:
 # ---------------------------------------------------------------------------
 # iteration over multidegrees, and generator files
 
-def _partitions(t: int) -> Iterator[tuple[int, ...]]:
-    def rec(rest: int, bound: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if rest == 0:
-            yield tuple(acc)
-            return
-        for part in range(min(bound, rest), 0, -1):
-            acc.append(part)
-            yield from rec(rest - part, part, acc)
-            acc.pop()
-
-    return rec(t, t, [])
+def _partitions(t: int, bound: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of t into parts of at most ``bound`` (default t), parts
+    nonincreasing, largest first part first.  It recurses at module level,
+    so no call leaves a reference cycle behind."""
+    if t == 0:
+        yield ()
+        return
+    for part in range(min(t, bound or t), 0, -1):
+        for rest in _partitions(t - part, part):
+            yield (part,) + rest
 
 
 def canonical_multidegrees(min_total: int, max_total: int) -> list[MultiDeg]:

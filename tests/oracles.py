@@ -318,3 +318,39 @@ def reference_filtered_product_vectors(md):
             prod = pair(word_monomial(seq), pair(leaf(p), leaf(q)))
             out.append(expansion_vector(idx, prod))
     return out
+
+
+def reference_greedy_component(md):
+    """(basis, basis_vectors) of ``component`` by the greedy pass over
+    every monomial of md: a monomial is kept when its expansion is
+    independent of the kept ones before it."""
+    from lieid.gf2linalg import Echelon
+    from lieid.tideal import expansion_vector, monomials_of, word_index
+
+    idx = word_index(md)
+    ech = Echelon(idx)
+    basis, basis_vectors = [], []
+    for m in monomials_of(md):
+        vec = expansion_vector(idx, m)
+        if ech.insert(vec):
+            basis.append(m)
+            basis_vectors.append(vec)
+    return tuple(basis), tuple(basis_vectors)
+
+
+def reference_renamed_vectors(p, n):
+    """Expansion vectors, at 1^n, of the multilinear p under every renaming
+    x_k -> x_perm[k-1], perm running over ``itertools.permutations``.
+
+    p is expanded once and each renaming maps its words.  This is exact:
+    expansion commutes with renaming letters, as both are algebra maps that
+    agree on the letters, and a renaming is a bijection on words, so no two
+    words of the expansion collide.
+    """
+    from lieid.lie_core import MultiDeg, assoc_expand
+    from lieid.tideal import word_index
+
+    idx = word_index(MultiDeg.multilinear(n))
+    words = assoc_expand(p).words
+    return [idx.vector(tuple(perm[k - 1] for k in w) for w in words)
+            for perm in itertools.permutations(range(1, n + 1))]

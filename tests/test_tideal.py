@@ -28,7 +28,7 @@ from lieid.lie_core import (
     word_monomial,
 )
 from lieid import tideal
-from lieid.gf2linalg import solve_in_span, span
+from lieid.gf2linalg import GF2Subspace, solve_in_span, span
 from lieid.tideal import (
     BASE_RELATION,
     BASE_SET,
@@ -71,8 +71,34 @@ from oracles import (
     reference_consequence_words,
     reference_derived_span,
     reference_filtered_product_vectors,
+    reference_greedy_component,
+    reference_renamed_vectors,
     reference_second_derived_words,
 )
+
+
+def _compositions(t):
+    """Every sequence of positive integers summing to t."""
+    if t == 0:
+        yield ()
+        return
+    for first in range(1, t + 1):
+        for rest in _compositions(t - first):
+            yield (first,) + rest
+
+
+# every multidegree of total <= 6 whose smallest letter occurs once, one
+# per sequence of multiplicities; the letters start at x2 at even totals
+FIRST_LETTER_ONCE = [
+    MultiDeg({2 - total % 2 + i: m for i, m in enumerate((1,) + rest)})
+    for total in range(1, 7) for rest in _compositions(total - 1)
+]
+
+
+def _generating_renamings(n):
+    """(1 2) and (1 2 ... n), as letter maps."""
+    swap = {k: k for k in range(1, n + 1)} | {1: 2, 2: 1}
+    return swap, {k: k % n + 1 for k in range(1, n + 1)}
 
 
 class TestComponent:
@@ -110,6 +136,27 @@ class TestComponent:
                     count //= math.factorial(m // d)
                 total += mobius(d) * count
         assert component(md).dim == total // md.total
+
+    @pytest.mark.parametrize("md", FIRST_LETTER_ONCE, ids=repr)
+    def test_closed_form_basis_is_the_greedy_basis(self, md):
+        comp = component(md)
+        assert (comp.basis, comp.basis_vectors) == reference_greedy_component(md)
+
+    @pytest.mark.slow
+    def test_closed_form_basis_is_the_greedy_basis_at_seven(self):
+        md = MultiDeg.multilinear(7)
+        comp = component(md)
+        assert (comp.basis, comp.basis_vectors) == reference_greedy_component(md)
+
+    def test_closed_form_runs_no_elimination(self, monkeypatch):
+        def no_echelon(index):
+            raise AssertionError("an Echelon was built")
+
+        assert len(FIRST_LETTER_ONCE) == 32
+        clear_caches()
+        monkeypatch.setattr(tideal, "Echelon", no_echelon)
+        for md in FIRST_LETTER_ONCE:
+            component(md)
 
     def test_single_variable_component_vanishes(self):
         assert component(MultiDeg({1: 2})).dim == 0
@@ -390,7 +437,7 @@ class TestBaseConsequences:
     def test_word_pair_span_without_the_member(self, n):
         # the base quotient plus the other members' consequences, against
         # the enumeration of the base relation and the other members at once
-        without, _ = tideal._word_pair_spans(n)
+        without = GF2Subspace(tideal._word_pair_without(n))
         md = word_pair_element(n).multidegree()
         others = tuple(Generator(f"wp{k}", word_pair_element(k))
                        for k in range(3, md.total + 1) if k != n)
@@ -558,7 +605,46 @@ class TestSpanChecks:
         want = [expansion_vector(idx, substitute(
                     base, {k: leaf(perm[k - 1]) for k in range(1, n + 1)}))
                 for perm in itertools.permutations(range(1, n + 1))]
-        assert tideal._renamed_vectors(base, n) == want
+        assert reference_renamed_vectors(base, n) == want
+
+    @pytest.mark.parametrize(
+        "n,dim", [(4, 1), (5, 11), (6, 56),
+                  pytest.param(7, 392, marks=pytest.mark.slow)])
+    def test_spun_span_is_the_span_of_every_renaming(self, n, dim):
+        idx = word_index(MultiDeg.multilinear(n))
+        p = triple_identity(n)
+        spun = tideal._spin(idx, [expansion_vector(idx, p)],
+                            _generating_renamings(n))
+        assert spun == span(idx, reference_renamed_vectors(p, n))
+        assert spun.dim == dim
+
+    @pytest.mark.parametrize("n,seed", [(5, None), (5, 1), (6, 2)],
+                             ids=["base_relation", "random_5", "random_6"])
+    def test_spin_of_other_seeds(self, n, seed):
+        # the base relation, and two random Lie elements at once
+        md = MultiDeg.multilinear(n)
+        idx = word_index(md)
+        if seed is None:
+            polys = [as_poly(BASE_RELATION)]
+        else:
+            rng = random.Random(seed)
+            polys = [LiePoly.of(*rng.sample(monomials_of(md), 5))
+                     for _ in range(2)]
+        spun = tideal._spin(idx, [expansion_vector(idx, p) for p in polys],
+                            _generating_renamings(n))
+        want = span(idx, [v for p in polys
+                          for v in reference_renamed_vectors(p, n)])
+        assert spun == want
+
+    def test_spin_closes_under_the_generated_group_only(self):
+        # under (1 2) alone the span is that of p and its swap
+        idx = word_index(MultiDeg.multilinear(5))
+        p = triple_identity(5)
+        swap = _generating_renamings(5)[0]
+        swapped = substitute(p, {k: leaf(v) for k, v in swap.items()})
+        spun = tideal._spin(idx, [expansion_vector(idx, p)], [swap])
+        assert spun == span(idx, [expansion_vector(idx, p),
+                                  expansion_vector(idx, swapped)])
 
     @pytest.mark.parametrize(
         "md",
@@ -849,12 +935,39 @@ class TestIndependence:
 
     @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_extended_span_is_the_whole_family(self, n):
-        without, with_n = tideal._word_pair_spans(n)
-        md = word_pair_element(n).multidegree()
+        # "without" plus every instance vector of the n-th member
+        ech = tideal._word_pair_without(n)
+        without = GF2Subspace(ech)
+        w = word_pair_element(n)
+        md = w.multidegree()
+        member = GeneratorSet((Generator(f"wp{n}", w),))
+        for vec in tideal._consequence_vectors(member, md, ech.index):
+            ech.insert(vec)
+        with_n = GF2Subspace(ech)
         family = generator_set([BASE_RELATION] + [word_pair_element(k)
                                                   for k in range(3, md.total + 1)])
         assert with_n == consequences(family, md)
         assert without.subset(with_n) and without != with_n
+        vec = expansion_vector(ech.index, w)
+        rep = word_pair_independence(n)
+        assert rep.in_span_without == without.contains(vec)
+        assert rep.in_span_with == with_n.contains(vec)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_membership_stops_once_answered(self, monkeypatch, n):
+        # one instance vector of the n-th member settles it
+        drawn = Counter()
+        real = tideal._instance_vectors
+
+        def counted(L, *args):
+            for vec in real(L, *args):
+                drawn[L.multidegree().total] += 1
+                yield vec
+
+        monkeypatch.setattr(tideal, "_instance_vectors", counted)
+        clear_caches()
+        assert word_pair_independence(n).in_span_with
+        assert drawn[n + 2] == 1
 
 
 class TestDerivedSpans:
@@ -956,6 +1069,20 @@ class TestBatchRelease:
 
 
 class TestMultidegreeIteration:
+    def test_enumerations_leave_no_reference_cycle(self):
+        gc.collect()
+        # with the cycle collector off, a cycle left by a call stays for
+        # gc.collect() to find
+        gc.disable()
+        try:
+            for md in canonical_multidegrees(1, 6):
+                list(tideal._arrangements(md))
+            canonical_multidegrees(1, 6)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
     def test_partition_representatives(self):
         mds = canonical_multidegrees(1, 3)
         assert mds == [
