@@ -140,16 +140,21 @@ def cmd_consequences(args) -> tuple[dict, bool]:
 
 def generation_check(mds: Iterable[MultiDeg]) -> tuple[list[dict], bool]:
     """One row per multidegree comparing the consequence span of the
-    candidate generating set with the identity space; ok when all agree."""
+    candidate generating set with the identity space; ok when all agree.
+    A row that disagrees names its witness, when there is one: an identity
+    that is not a consequence."""
     rows = []
     for md in mds:
         rep = tideal.check_generation(md)
-        rows.append({
+        row = {
             "multidegree": _format_multidegree(md),
             "dim_consequences": rep.dim_consequences,
             "dim_identities": rep.dim_identities,
             "equal": rep.equal,
-        })
+        }
+        if rep.witness is not None:
+            row["witness"] = format_poly(rep.witness)
+        rows.append(row)
     return rows, all(row["equal"] for row in rows)
 
 
@@ -212,8 +217,9 @@ def _checks_tail_rewriting() -> tuple[dict, bool]:
 
 
 def _checks_derived_spans() -> tuple[dict, bool]:
-    """Spanning sets for the derived subalgebra of the quotient, and the
-    vanishing of its triple products."""
+    """Spanning sets for the derived subalgebra of the quotient.  That its
+    triple products [[L', L'], L] vanish is how the quotient is built
+    (``tideal.base_consequences``), so no check of it is made here."""
     per_part = {}
     ok = True
     for part in (1, 2, 3):
@@ -224,10 +230,7 @@ def _checks_derived_spans() -> tuple[dict, bool]:
                 failures.append(_format_multidegree(md))
         per_part[str(part)] = {"pass": not failures, "failures": failures}
         ok = ok and not failures
-    cube = tideal.derived_cube_zero_check(6)
-    per_part["cube_degree_6"] = {"pass": cube.all_zero,
-                                 "instances": cube.instances}
-    return per_part, ok and cube.all_zero
+    return per_part, ok
 
 
 def _checks_family_independence() -> tuple[dict, bool]:

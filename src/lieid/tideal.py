@@ -91,8 +91,6 @@ __all__ = [
     "word_pair_independence",
     "DerivedSpanReport",
     "derived_span_check",
-    "CubeReport",
-    "derived_cube_zero_check",
     "canonical_multidegrees",
     "load_generator_file",
     "clear_caches",
@@ -398,8 +396,36 @@ def _fillings(plan: Sequence[tuple[int, int, int]], k: int,
     assignment.pop(v, None)
 
 
+def _lies_in_base(m: LieMonomial, heavy: frozenset[int],
+                  tailed: bool) -> bool:
+    """Whether every instance of the monomial m provably lies in T(a), the
+    variables in ``heavy`` taking fillers of degree >= 2, the rest letters,
+    and a letter tail following when ``tailed``.
+
+    It does when some node of the instance other than its root has two
+    children of degree >= 2: a compound subtree of m, or a heavy variable.
+    That node's value lies in L'' = [L', L'], so its parent's lies in
+    [L'', L] = T(a) (``base_consequences``), and T(a) is an ideal, so the
+    whole instance lies in it.  A letter tail puts the root of m below the
+    root of the instance.
+    """
+    def big(child: LieMonomial) -> bool:
+        return not child.is_leaf or child.index in heavy
+
+    stack = [(m, tailed)]
+    while stack:
+        node, below_root = stack.pop()
+        if node.is_leaf:
+            continue
+        if below_root and big(node.left) and big(node.right):
+            return True
+        stack += ((node.left, True), (node.right, True))
+    return False
+
+
 def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
-                      fillers: _Fillers) -> Iterator[int]:
+                      fillers: _Fillers,
+                      modulo_base: bool = False) -> Iterator[int]:
     """Expansion vectors of multidegree-md elements of the form
     L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
     same space as all such elements with the w's left-normalized monomials.
@@ -418,13 +444,30 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
     expansion of the substituted Lie element, without building it.  Fillers,
     slot choices and letter tails come from ``fillers``, the batch's owner,
     so each is built once for every form of the batch.
+
+    With ``modulo_base`` each instance leaves out the monomials of L that
+    ``_lies_in_base`` finds in T(a), and an instance with nothing left is
+    not evaluated.
     """
     slots = L.multidegree().items()
     plan = [(v, d, sum(e for _, e in slots[k + 1:]))
             for k, (v, d) in enumerate(slots)]
     assignment: dict[int, AssocPoly] = {}
+    kept: dict[tuple[frozenset[int], bool], LiePoly] = {}
     for remaining in _fillings(plan, 0, md, fillers, assignment):
-        value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
+        form = L
+        if modulo_base:
+            # the variables whose filler is not a letter; a tail or none
+            key = (frozenset(v for v, w in assignment.items()
+                             if len(next(iter(w.words), ())) != 1),
+                   bool(remaining))
+            form = kept.get(key)
+            if form is None:
+                form = kept[key] = LiePoly(frozenset(
+                    m for m in L.monomials if not _lies_in_base(m, *key)))
+            if form.is_formal_zero():
+                continue
+        value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(form)
         if value.is_zero():
             continue
         for seq in fillers.tails(remaining):
@@ -472,9 +515,14 @@ def consequences(gens: GeneratorSet, md: MultiDeg, /, *,
     return result
 
 
-def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
-                         idx: WordIndex) -> Iterator[int]:
-    """Instance vectors spanning the consequences, highest degree first."""
+def _consequence_vectors(gens: GeneratorSet, md: MultiDeg, idx: WordIndex,
+                         modulo_base: bool = False) -> Iterator[int]:
+    """Instance vectors spanning the consequences, highest degree first.
+
+    With ``modulo_base`` (see ``_instance_vectors``) they span T(a) plus
+    the consequences only together with T(a) = ``base_consequences(md)``,
+    so a caller seeds its echelon with that span before inserting them.
+    """
     ordered = sorted(gens.generators, key=lambda g: -g.total_degree)
     fillers = _Fillers(md)
     for gen in ordered:
@@ -485,7 +533,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
         else:
             forms = (_canonical_variables(gen.poly),)
         for L in forms:
-            yield from _instance_vectors(L, md, idx, fillers)
+            yield from _instance_vectors(L, md, idx, fillers, modulo_base)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +610,14 @@ def word_pair_element(n: int) -> LiePoly:
 
 @dataclass(frozen=True)
 class GenerationReport:
+    """``witness`` is set only when ``equal`` is false: see
+    ``check_generation``."""
+
     multidegree: MultiDeg
     dim_consequences: int
     dim_identities: int
     equal: bool
+    witness: Optional[LiePoly] = None
 
 
 def check_generation(md: MultiDeg) -> GenerationReport:
@@ -579,13 +631,22 @@ def check_generation(md: MultiDeg) -> GenerationReport:
     consequences lie inside the identities, and their enumeration stops at
     the rank of the identity space.  If some generator is not an identity,
     the consequences are enumerated in full.
+
+    When the spans differ, the witness is the first row of the identity
+    basis outside the consequences, as ``lie_poly_from_vector`` writes it.
+    It is None when every identity is a consequence, which can happen only
+    if some generator is not an identity.
     """
     gens = theorem_generators(max(md.total, 4))
     ids = identities(md)
     contributing = (g for g in gens.generators if g.total_degree <= md.total)
     within = ids if all(is_identity_gl2(g.poly) for g in contributing) else None
     cons = consequences(gens, md, within=within)
-    return GenerationReport(md, cons.dim, ids.dim, cons == ids)
+    if cons == ids:
+        return GenerationReport(md, cons.dim, ids.dim, True)
+    row = next((r for r in ids.basis_vectors() if not cons.contains(r)), None)
+    witness = None if row is None else lie_poly_from_vector(md, row)
+    return GenerationReport(md, cons.dim, ids.dim, False, witness)
 
 
 def _spin(idx: WordIndex, seeds: Iterable[int],
@@ -834,9 +895,9 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     """The md-component of the T-ideal of the base relation
     (a) = [[x1, x2], [x3, x4], x5], the same subspace as
     ``consequences(BASE_SET, md)``, built in closed form: the span of the
-    brackets [[p, q], r] with p, q and r in ``Component.basis`` at
-    multidegrees ν1, ν2 and ν3, where |ν1|, |ν2| >= 2, |ν3| >= 1 and
-    ν1 + ν2 + ν3 = md.
+    brackets [[p, q], x_l] over the letters l of md, with p and q in
+    ``Component.basis`` at multidegrees ν1 and ν2, where |ν1|, |ν2| >= 2
+    and ν1 + ν2 = md - e_l.
 
     Write L for the free Lie algebra, L' = L_{>=2}, which is [L, L], and
     I = [[L', L'], L].  Then T(a) = I:
@@ -850,25 +911,30 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
       I = [L'', L] are ideals.  Every endomorphism maps L' into L', hence
       I into I, so I is a T-ideal, and T(a) is the least one holding (a).
 
-    Both sides are multigraded, so they agree at every md.  There I is
-    spanned by the brackets of homogeneous elements, hence, the bracket
-    being trilinear, by those of basis elements.  (a) is multilinear, so
-    its polarization closure is (a) itself and the enumerated span is
-    T(a) at md, the subspace computed here.
+    - I is spanned by the [u, x_l], u in L'' and x_l a letter.  I is
+      spanned by the [u, r], u in L'' and r a monomial; induct on deg r.
+      For r = [r1, r2] the Jacobi identity over GF(2) gives
+      [u, [r1, r2]] = [[u, r1], r2] + [[u, r2], r1], where [u, r1] and
+      [u, r2] lie in L'', an ideal, and r2 and r1 have smaller degree.
 
-    For each ν3 the [p, q] are ``_derived_brackets`` at md - ν3, which has
-    none below total 4, so no component above total(md) - 3 is built.
+    Both sides are multigraded, so they agree at every md.  There I is
+    spanned by the [u, x_l] with u in L'' at md - e_l, and L'' there by
+    the brackets of homogeneous elements of L', hence, the bracket being
+    bilinear, by those of basis elements.  (a) is multilinear, so its
+    polarization closure is (a) itself and the enumerated span is T(a) at
+    md, the subspace computed here.
+
+    The [p, q] are ``_derived_brackets`` at md - e_l, so no component
+    above total(md) - 3 is built.
     """
     idx = word_index(md)
     ech = Echelon(idx)
     fillers = _Fillers(md)
-    for nu3 in md.sub_multidegrees():
-        if nu3.total < 1 or md.total - nu3.total < 4:
-            continue
-        thirds = fillers.basis(nu3)
-        for pq in _derived_brackets(md - nu3, fillers):
-            for r in thirds:
-                ech.insert(idx.vector(commutator(pq, r).words))
+    for l in md.indices():
+        e_l = MultiDeg({l: 1})
+        (x_l,) = fillers.basis(e_l)
+        for pq in _derived_brackets(md - e_l, fillers):
+            ech.insert(idx.vector(commutator(pq, x_l).words))
     return GF2Subspace(ech)
 
 
@@ -943,17 +1009,19 @@ class IndependenceReport:
 def _word_pair_without(n: int) -> Echelon:
     """The consequence span, at the multidegree of the n-th word-pair
     element, of its family without that member: the base quotient
-    ``base_consequences(md)``, built in closed form, plus the consequences
-    of the other members.  Only the members k < n are built: a member
-    k > n has total degree k + 2 > total(md), so it has no instance at md.
+    ``base_consequences(md)``, built in closed form, extended by the other
+    members' instance vectors modulo it.  Only the members k < n are
+    built: a member k > n has total degree k + 2 > total(md), so it has no
+    instance at md.
     """
     md = word_pair_element(n).multidegree()
-    ech = Echelon(word_index(md))
-    others = tuple(Generator(f"wp{k}", word_pair_element(k))
-                   for k in range(3, n))
-    for vec in itertools.chain(
-            base_consequences(md).basis_vectors(),
-            consequences(GeneratorSet(others), md).basis_vectors()):
+    idx = word_index(md)
+    ech = Echelon(idx)
+    others = GeneratorSet(tuple(Generator(f"wp{k}", word_pair_element(k))
+                                for k in range(3, n)))
+    for vec in itertools.chain(base_consequences(md).basis_vectors(),
+                               _consequence_vectors(others, md, idx,
+                                                    modulo_base=True)):
         ech.insert(vec)
     return ech
 
@@ -968,7 +1036,8 @@ def word_pair_independence(n: int) -> IndependenceReport:
     sum of the T-ideals generated by its parts, and so is each multidegree
     component of it.  The polarization closure is taken per generator, so
     the family's enumeration is the union of the members' enumerations, and
-    the n-th member adds exactly its own instances.
+    the n-th member adds exactly its own instances.  The span without it
+    holds T(a), so they are taken modulo T(a).
 
     Those vectors are inserted only until w reduces to 0.  Membership is
     monotone: a span that holds w is inside the full span, so w lies in the
@@ -984,7 +1053,8 @@ def word_pair_independence(n: int) -> IndependenceReport:
     in_span_without = not residual
     if residual:
         member = GeneratorSet((Generator(f"wp{n}", w),))
-        for vec in _consequence_vectors(member, md, ech.index):
+        for vec in _consequence_vectors(member, md, ech.index,
+                                        modulo_base=True):
             if ech.insert(vec):
                 residual = ech.reduce(residual)
                 if not residual:
@@ -1083,53 +1153,6 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     lhs = span(idx, keep + list(quotient_rows))
     rhs = span(idx, _second_derived_vectors(md) + list(quotient_rows))
     return DerivedSpanReport(md, part, lhs == rhs, lhs.dim, rhs.dim)
-
-
-@dataclass(frozen=True)
-class CubeReport:
-    total_degree: int
-    instances: int
-    all_zero: bool
-
-
-def derived_cube_zero_check(total: int) -> CubeReport:
-    """All brackets [[m1, m2], m3] of monomials of degree >= 2 vanish in the
-    quotient; checked at every multidegree of the given total degree, up to
-    renaming.  Such brackets have total degree >= 6, so a smaller total
-    would pass over no instance at all and is refused.  Membership in the
-    base consequences is tested directly, as ``zero_in_quotient`` does.
-
-    The quotient comes from ``base_consequences``, the span of [[p, q], r]
-    over component bases, so the vanishing follows from that construction.
-    Its independent content, that [[L', L'], L] is the T-ideal of the base
-    relation, is checked by the tests against the enumerated consequences."""
-    if total < 6:
-        raise ValueError(f"the cube check needs total degree >= 6, got {total}")
-    check_degree_cap(total)
-    count = 0
-    all_zero = True
-    for md in canonical_multidegrees(total, total):
-        idx = word_index(md)
-        fillers = _Fillers(md)
-        quotient = base_consequences(md)
-        for mu1 in md.sub_multidegrees():
-            if mu1.total < 2 or md.total - mu1.total < 4:
-                continue
-            rest1 = md - mu1
-            for mu2 in rest1.sub_multidegrees():
-                mu3 = rest1 - mu2
-                if mu2.total < 2 or mu3.total < 2:
-                    continue
-                for m1 in fillers.monomials(mu1):
-                    for m2 in fillers.monomials(mu2):
-                        inner = commutator(m1, m2)
-                        for m3 in fillers.monomials(mu3):
-                            count += 1
-                            cube = commutator(inner, m3)
-                            vec = idx.vector(cube.words)
-                            if vec and not quotient.contains(vec):
-                                all_zero = False
-    return CubeReport(total, count, all_zero)
 
 
 # ---------------------------------------------------------------------------

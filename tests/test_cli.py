@@ -9,6 +9,7 @@ import pytest
 
 from lieid import cli, tideal
 from lieid.cli import LEMMAS, MAX_PRINTED_INDEX, main
+from lieid.eval_gl2 import is_identity_gl2
 from lieid.expr import parse
 from lieid.lie_core import as_poly, assoc_expand, get_degree_cap, is_zero
 from lieid.tideal import triple_identity, word_pair_element
@@ -165,6 +166,27 @@ class TestCheckTheorem:
         assert report["all_equal"] is True
         by_md = {c["multidegree"]: c for c in report["components"]}
         assert by_md["1,1,1,1"]["dim_identities"] == 1
+
+    def test_failure_names_its_witness(self, capsys, monkeypatch):
+        # without d6 the consequences fall one short at 1^6 only
+        real = tideal.theorem_generators
+
+        def without_d6(maxgen):
+            return tideal.GeneratorSet(tuple(
+                g for g in real(maxgen).generators if g.name != "d6"))
+
+        monkeypatch.setattr(tideal, "theorem_generators", without_d6)
+        code, report = run_json(capsys, "check-theorem",
+                                "--max-total-degree", "6")
+        assert code == 1
+        failed = [c for c in report["components"] if not c["equal"]]
+        assert [c["multidegree"] for c in failed] == ["1,1,1,1,1,1"]
+        assert [c for c in report["components"] if "witness" in c] == failed
+        witness = parse(failed[0]["witness"])
+        assert is_identity_gl2(witness)
+        md = witness.multidegree()
+        cons = tideal.consequences(without_d6(6), md)
+        assert not cons.contains(tideal.expansion_vector(cons.index, witness))
 
 
 class TestLemmas:

@@ -41,7 +41,6 @@ from lieid.tideal import (
     coefficient_conditions_hold,
     component,
     consequences,
-    derived_cube_zero_check,
     derived_span_check,
     expansion_vector,
     generator_set,
@@ -433,7 +432,7 @@ class TestBaseConsequences:
         base_consequences(md)
         assert max(mu.total for mu in built) == md.total - 3
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_word_pair_span_without_the_member(self, n):
         # the base quotient plus the other members' consequences, against
         # the enumeration of the base relation and the other members at once
@@ -760,6 +759,25 @@ class TestFastPaths:
             got = list(tideal._consequence_vectors(gens, md, idx))
             assert got == _plain_consequence_vectors(gens, md, idx), md
 
+    @pytest.mark.slow
+    def test_vector_stream_matches_recorded_digest(self):
+        # the stream check_generation draws on, pinned vector by vector:
+        # each vector in lowercase hex, one per line, set by set, and in
+        # each set multidegree by multidegree
+        sets = [BASE_SET, theorem_generators(6), _word_pair_family(),
+                _word_pair_family(False), _cubic_set(True), _cubic_set(False)]
+        mds = canonical_multidegrees(1, 6) + [MultiDeg({1: 2, 2: 2, 3: 2, 4: 1})]
+        digest = hashlib.sha256()
+        count = 0
+        for gens in sets:
+            for md in mds:
+                for vec in tideal._consequence_vectors(gens, md, word_index(md)):
+                    digest.update(b"%x\n" % vec)
+                    count += 1
+        assert count == 116_956
+        assert digest.hexdigest() == (
+            "5a6357993a0218463a3b53e9cf45ac3b94e57ed07cb6fa3a340843fbf79452d8")
+
     def test_component_looked_up_once_per_slot_and_sub_multidegree(
             self, monkeypatch):
         md = MultiDeg.multilinear(6)
@@ -801,6 +819,27 @@ class TestFastPaths:
         assert rep.dim_consequences == component(md).dim
         assert rep.dim_identities == 1
         assert not rep.equal
+        assert rep.witness is None  # every identity is a consequence
+
+    def test_failed_check_names_its_witness(self, monkeypatch):
+        # without d6 the span at 1^6 falls one short of the identities
+        md = MultiDeg.multilinear(6)
+        assert check_generation(md).witness is None
+        real = theorem_generators
+
+        def without_d6(maxgen):
+            return GeneratorSet(tuple(g for g in real(maxgen).generators
+                                      if g.name != "d6"))
+
+        monkeypatch.setattr(tideal, "theorem_generators", without_d6)
+        rep = check_generation(md)
+        assert not rep.equal
+        cons = consequences(without_d6(6), md)
+        ids = identities(md)
+        outside = [row for row in ids.basis_vectors() if not cons.contains(row)]
+        assert outside
+        assert expansion_vector(ids.index, rep.witness) == outside[0]
+        assert is_identity_gl2(rep.witness)
 
     @pytest.mark.parametrize(
         "name,gens",
@@ -835,6 +874,70 @@ class TestFastPaths:
         rows = [set(cons.index.support(v)) for v in cons.basis_vectors()]
         assert naive_rank(ref) == cons.dim, md
         assert naive_rank(rows + ref) == cons.dim, md
+
+
+MODULO_BASE_SETS = {
+    "theorem": lambda: theorem_generators(6),
+    "word_pairs": _word_pair_family,
+    "renamed_base": lambda: load_generator_file(
+        str(Path(__file__).parent / "data" / "gens_renamed_base.txt")),
+}
+
+
+class TestModuloBase:
+    """Instance vectors taken modulo T(a) = base_consequences, after it,
+    against every instance vector."""
+
+    @staticmethod
+    def _modulo_and_every(gens, md):
+        idx = word_index(md)
+        base = list(base_consequences(md).basis_vectors())
+        modulo = span(idx, base + list(
+            tideal._consequence_vectors(gens, md, idx, modulo_base=True)))
+        every = span(idx, base + list(tideal._consequence_vectors(gens, md, idx)))
+        return modulo, every
+
+    @pytest.mark.parametrize("name", sorted(MODULO_BASE_SETS))
+    def test_equals_every_instance_vector(self, name):
+        gens = MODULO_BASE_SETS[name]()
+        union = GeneratorSet(BASE_SET.generators + gens.generators,
+                             gens.polarize_closure)
+        for md in canonical_multidegrees(1, 6):
+            modulo, every = self._modulo_and_every(gens, md)
+            assert modulo == every == consequences(union, md), md
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(MODULO_BASE_SETS))
+    def test_equals_every_instance_vector_at_total_seven(self, name):
+        # the union's stream is that of (a) together with that of gens, and
+        # TestBaseConsequences checks that (a)'s spans T(a) at total 7, so
+        # the union's span is T(a) plus every vector here
+        gens = MODULO_BASE_SETS[name]()
+        for md in canonical_multidegrees(7, 7):
+            modulo, every = self._modulo_and_every(gens, md)
+            assert modulo == every, md
+
+    @pytest.mark.parametrize("heavy,tailed,inside", [
+        ((), False, False),
+        ((), True, True),      # the root is below the tail's brackets
+        ((3,), False, True),   # [[x1, x2], x3] with x3 of degree >= 2
+        ((1,), False, False),  # x2 is a letter in both [x1, x2]
+        ((1, 2), False, True),
+    ])
+    def test_word_pair_member_lies_in_base(self, heavy, tailed, inside):
+        (m,) = word_pair_element(3).monomials
+        assert tideal._lies_in_base(m, frozenset(heavy), tailed) == inside
+
+    def test_base_relation_instances_are_never_evaluated(self, monkeypatch):
+        # [[x1, x2], [x3, x4]] sits below the root of (a) and has two
+        # compound children
+        def no_evaluation(*args):
+            raise AssertionError("an instance was evaluated")
+
+        monkeypatch.setattr(tideal, "Evaluator", no_evaluation)
+        for md in canonical_multidegrees(1, 6):
+            assert not list(tideal._consequence_vectors(
+                BASE_SET, md, word_index(md), modulo_base=True))
 
 
 def renamed(space, renaming, md2):
@@ -989,11 +1092,6 @@ class TestDerivedSpans:
         with pytest.raises(ValueError):
             derived_span_check(MultiDeg({1: 1}), 1)
 
-    def test_cube_vanishes_at_degree_six_instance(self):
-        rep = derived_cube_zero_check(6)
-        assert rep.all_zero
-        assert rep.instances > 0
-
     @pytest.mark.parametrize("md", canonical_multidegrees(4, 6), ids=repr)
     def test_pair_walk_spans_every_monomial_bracket(self, md):
         # one bracket per unordered pair of basis elements against [m1, m2]
@@ -1016,13 +1114,6 @@ class TestDerivedSpans:
     def test_letter_pairs_match_the_sub_multidegree_scan(self, md):
         assert (tideal._filtered_product_vectors(md)
                 == reference_filtered_product_vectors(md))
-
-    @pytest.mark.parametrize("total", [0, 3, 5])
-    def test_cube_check_below_degree_six_rejected(self, total):
-        # no bracket [[m1, m2], m3] of degree-2 monomials has total < 6, so
-        # the check would pass over zero instances
-        with pytest.raises(ValueError, match="6"):
-            derived_cube_zero_check(total)
 
 
 class TestBatchRelease:
