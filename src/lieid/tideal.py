@@ -396,36 +396,8 @@ def _fillings(plan: Sequence[tuple[int, int, int]], k: int,
     assignment.pop(v, None)
 
 
-def _lies_in_base(m: LieMonomial, heavy: frozenset[int],
-                  tailed: bool) -> bool:
-    """Whether every instance of the monomial m provably lies in T(a), the
-    variables in ``heavy`` taking fillers of degree >= 2, the rest letters,
-    and a letter tail following when ``tailed``.
-
-    It does when some node of the instance other than its root has two
-    children of degree >= 2: a compound subtree of m, or a heavy variable.
-    That node's value lies in L'' = [L', L'], so its parent's lies in
-    [L'', L] = T(a) (``base_consequences``), and T(a) is an ideal, so the
-    whole instance lies in it.  A letter tail puts the root of m below the
-    root of the instance.
-    """
-    def big(child: LieMonomial) -> bool:
-        return not child.is_leaf or child.index in heavy
-
-    stack = [(m, tailed)]
-    while stack:
-        node, below_root = stack.pop()
-        if node.is_leaf:
-            continue
-        if below_root and big(node.left) and big(node.right):
-            return True
-        stack += ((node.left, True), (node.right, True))
-    return False
-
-
 def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
-                      fillers: _Fillers,
-                      modulo_base: bool = False) -> Iterator[int]:
+                      fillers: _Fillers) -> Iterator[int]:
     """Expansion vectors of multidegree-md elements of the form
     L(w_1, ..., w_m) x_{l_1} ... x_{l_r} with the l's letters, spanning the
     same space as all such elements with the w's left-normalized monomials.
@@ -444,30 +416,13 @@ def _instance_vectors(L: LiePoly, md: MultiDeg, idx: WordIndex,
     expansion of the substituted Lie element, without building it.  Fillers,
     slot choices and letter tails come from ``fillers``, the batch's owner,
     so each is built once for every form of the batch.
-
-    With ``modulo_base`` each instance leaves out the monomials of L that
-    ``_lies_in_base`` finds in T(a), and an instance with nothing left is
-    not evaluated.
     """
     slots = L.multidegree().items()
     plan = [(v, d, sum(e for _, e in slots[k + 1:]))
             for k, (v, d) in enumerate(slots)]
     assignment: dict[int, AssocPoly] = {}
-    kept: dict[tuple[frozenset[int], bool], LiePoly] = {}
     for remaining in _fillings(plan, 0, md, fillers, assignment):
-        form = L
-        if modulo_base:
-            # the variables whose filler is not a letter; a tail or none
-            key = (frozenset(v for v, w in assignment.items()
-                             if len(next(iter(w.words), ())) != 1),
-                   bool(remaining))
-            form = kept.get(key)
-            if form is None:
-                form = kept[key] = LiePoly(frozenset(
-                    m for m in L.monomials if not _lies_in_base(m, *key)))
-            if form.is_formal_zero():
-                continue
-        value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(form)
+        value = Evaluator(assignment, commutator, AssocPoly.ZERO).poly(L)
         if value.is_zero():
             continue
         for seq in fillers.tails(remaining):
@@ -515,14 +470,9 @@ def consequences(gens: GeneratorSet, md: MultiDeg, /, *,
     return result
 
 
-def _consequence_vectors(gens: GeneratorSet, md: MultiDeg, idx: WordIndex,
-                         modulo_base: bool = False) -> Iterator[int]:
-    """Instance vectors spanning the consequences, highest degree first.
-
-    With ``modulo_base`` (see ``_instance_vectors``) they span T(a) plus
-    the consequences only together with T(a) = ``base_consequences(md)``,
-    so a caller seeds its echelon with that span before inserting them.
-    """
+def _consequence_vectors(gens: GeneratorSet, md: MultiDeg,
+                         idx: WordIndex) -> Iterator[int]:
+    """Instance vectors spanning the consequences, highest degree first."""
     ordered = sorted(gens.generators, key=lambda g: -g.total_degree)
     fillers = _Fillers(md)
     for gen in ordered:
@@ -533,7 +483,7 @@ def _consequence_vectors(gens: GeneratorSet, md: MultiDeg, idx: WordIndex,
         else:
             forms = (_canonical_variables(gen.poly),)
         for L in forms:
-            yield from _instance_vectors(L, md, idx, fillers, modulo_base)
+            yield from _instance_vectors(L, md, idx, fillers)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,55 +956,62 @@ class IndependenceReport:
     in_span_with: bool
 
 
-def _word_pair_without(n: int) -> Echelon:
-    """The consequence span, at the multidegree of the n-th word-pair
-    element, of its family without that member: the base quotient
-    ``base_consequences(md)``, built in closed form, extended by the other
-    members' instance vectors modulo it.  Only the members k < n are
-    built: a member k > n has total degree k + 2 > total(md), so it has no
-    instance at md.
-    """
-    md = word_pair_element(n).multidegree()
-    idx = word_index(md)
-    ech = Echelon(idx)
-    others = GeneratorSet(tuple(Generator(f"wp{k}", word_pair_element(k))
-                                for k in range(3, n)))
-    for vec in itertools.chain(base_consequences(md).basis_vectors(),
-                               _consequence_vectors(others, md, idx,
-                                                    modulo_base=True)):
-        ech.insert(vec)
-    return ech
-
-
 def word_pair_independence(n: int) -> IndependenceReport:
     """Membership of w = (x1...xn)(x1x2) in the consequence span of the rest
-    of its family (base relation included, ``_word_pair_without``), and in
-    the span once the n-th member itself is added.
+    of its family (base relation included), and in the span once the n-th
+    member itself is added.
 
-    The span with the member is the span without it extended by the
-    member's own instance vectors.  The T-ideal generated by a union is the
-    sum of the T-ideals generated by its parts, and so is each multidegree
-    component of it.  The polarization closure is taken per generator, so
-    the family's enumeration is the union of the members' enumerations, and
-    the n-th member adds exactly its own instances.  The span without it
-    holds T(a), so they are taken modulo T(a).
+    At md = {1:2, 2:2, 3:1, ..., n:1}, the multidegree of w, the span of the
+    rest is T(a) = ``base_consequences(md)``: a member k > n has total
+    degree k + 2 > total(md), so no instance at md, and the md-component of
+    the T-ideal of a member k < n lies in T(a).  Proof: work in
+    Q = L/T(a) = L/[[L', L'], L], where Q'' = [Q', Q'] is central.
 
-    Those vectors are inserted only until w reduces to 0.  Membership is
-    monotone: a span that holds w is inside the full span, so w lies in the
-    full span too.  If w never reduces to 0, every vector went in, and the
-    echelon is the full span.
+    1. For a, b in Q' and any x, the Jacobi identity over GF(2) gives
+       [[a, x], b] = [a, [x, b]] + [[a, b], x], and the last term is 0.
+       Fix letters l3, ..., lk and set B(a, b) = [[a, l3, ..., lk], b].
+       Moving the brackets across one at a time gives
+       B(a, b) = [a, [b, lk, ..., l3]].
+    2. Swapping adjacent letters x, y in [d, ..., x, y, ...] with d in Q'
+       changes it by [d', [x, y]], d' the bracket before x, in Q''; the
+       later brackets and the outer bracket with a kill that term.  So
+       B(a, b) = [a, [b, l3, ..., lk]] = B(b, a).  B is symmetric, so over
+       GF(2), B(sum c_i, sum c_i) = sum B(c_i, c_i).
+    3. Write c = [h1, h2], in Q'.  The k-th member at fillers h is
+       W_k(h) = [[c, h3, ..., hk], c].  A Q'-part of any h_i with i >= 3
+       yields an element of Q'', which the rest kills.  So W_k(h) is the
+       sum of the B(c_i, c_i) over the letter parts of h3, ..., hk and the
+       multihomogeneous parts c_i of c.
+    4. W_k(h) lies in Q'', so its tails [W_k(h), y] vanish, and a partial
+       linearization of W_k is a component of W_k at sums of fillers.
+    5. B(c_i, c_i) has multidegree 2 deg(c_i) plus the tail letters.  At md
+       this forces deg(c_i) = {1:1, 2:1}, so its total is k + 2, which is
+       total(md) = n + 2 only when k = n.
+
+    T(a) is multigraded, so the md-component of T(w_k) lies in it for
+    k < n.  Tests check this against the full enumeration at n <= 5, and
+    that the whole family spans T(a) plus w itself at md.
+
+    The span with the member is T(a) extended by the member's own instance
+    vectors, as the T-ideal generated by a union is the sum of the
+    T-ideals generated by its parts, and so is each multidegree component
+    of it.  Those vectors are inserted only until w reduces to 0.
+    Membership is monotone: a span that holds w is inside the full span, so
+    w lies in the full span too.  If w never reduces to 0, every vector went
+    in, and the echelon is the full span.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     w = word_pair_element(n)
     md = w.multidegree()
-    ech = _word_pair_without(n)
+    ech = Echelon(word_index(md))
+    for vec in base_consequences(md).basis_vectors():
+        ech.insert(vec)
     residual = ech.reduce(expansion_vector(ech.index, w))
     in_span_without = not residual
     if residual:
         member = GeneratorSet((Generator(f"wp{n}", w),))
-        for vec in _consequence_vectors(member, md, ech.index,
-                                        modulo_base=True):
+        for vec in _consequence_vectors(member, md, ech.index):
             if ech.insert(vec):
                 residual = ech.reduce(residual)
                 if not residual:

@@ -28,7 +28,7 @@ from lieid.lie_core import (
     word_monomial,
 )
 from lieid import tideal
-from lieid.gf2linalg import GF2Subspace, solve_in_span, span
+from lieid.gf2linalg import Echelon, GF2Subspace, solve_in_span, span
 from lieid.tideal import (
     BASE_RELATION,
     BASE_SET,
@@ -434,14 +434,25 @@ class TestBaseConsequences:
 
     @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_word_pair_span_without_the_member(self, n):
-        # the base quotient plus the other members' consequences, against
-        # the enumeration of the base relation and the other members at once
-        without = GF2Subspace(tideal._word_pair_without(n))
+        # the base quotient alone, against the enumeration of the base
+        # relation and the other members at once
         md = word_pair_element(n).multidegree()
         others = tuple(Generator(f"wp{k}", word_pair_element(k))
                        for k in range(3, md.total + 1) if k != n)
-        assert without == consequences(
+        assert base_consequences(md) == consequences(
             GeneratorSet(BASE_SET.generators + others), md)
+
+    @pytest.mark.parametrize("n,k", [
+        (4, 3),
+        pytest.param(5, 3, marks=pytest.mark.slow),
+        pytest.param(5, 4, marks=pytest.mark.slow),
+    ])
+    def test_lower_word_pair_member_lies_in_the_base_quotient(self, n, k):
+        # every instance of the k-th member at the n-th member's
+        # multidegree, enumerated with no T(a) shortcut
+        md = word_pair_element(n).multidegree()
+        member = GeneratorSet((Generator(f"wp{k}", word_pair_element(k)),))
+        assert consequences(member, md).subset(base_consequences(md))
 
 
 MD5 = MultiDeg.multilinear(5)
@@ -876,70 +887,6 @@ class TestFastPaths:
         assert naive_rank(rows + ref) == cons.dim, md
 
 
-MODULO_BASE_SETS = {
-    "theorem": lambda: theorem_generators(6),
-    "word_pairs": _word_pair_family,
-    "renamed_base": lambda: load_generator_file(
-        str(Path(__file__).parent / "data" / "gens_renamed_base.txt")),
-}
-
-
-class TestModuloBase:
-    """Instance vectors taken modulo T(a) = base_consequences, after it,
-    against every instance vector."""
-
-    @staticmethod
-    def _modulo_and_every(gens, md):
-        idx = word_index(md)
-        base = list(base_consequences(md).basis_vectors())
-        modulo = span(idx, base + list(
-            tideal._consequence_vectors(gens, md, idx, modulo_base=True)))
-        every = span(idx, base + list(tideal._consequence_vectors(gens, md, idx)))
-        return modulo, every
-
-    @pytest.mark.parametrize("name", sorted(MODULO_BASE_SETS))
-    def test_equals_every_instance_vector(self, name):
-        gens = MODULO_BASE_SETS[name]()
-        union = GeneratorSet(BASE_SET.generators + gens.generators,
-                             gens.polarize_closure)
-        for md in canonical_multidegrees(1, 6):
-            modulo, every = self._modulo_and_every(gens, md)
-            assert modulo == every == consequences(union, md), md
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("name", sorted(MODULO_BASE_SETS))
-    def test_equals_every_instance_vector_at_total_seven(self, name):
-        # the union's stream is that of (a) together with that of gens, and
-        # TestBaseConsequences checks that (a)'s spans T(a) at total 7, so
-        # the union's span is T(a) plus every vector here
-        gens = MODULO_BASE_SETS[name]()
-        for md in canonical_multidegrees(7, 7):
-            modulo, every = self._modulo_and_every(gens, md)
-            assert modulo == every, md
-
-    @pytest.mark.parametrize("heavy,tailed,inside", [
-        ((), False, False),
-        ((), True, True),      # the root is below the tail's brackets
-        ((3,), False, True),   # [[x1, x2], x3] with x3 of degree >= 2
-        ((1,), False, False),  # x2 is a letter in both [x1, x2]
-        ((1, 2), False, True),
-    ])
-    def test_word_pair_member_lies_in_base(self, heavy, tailed, inside):
-        (m,) = word_pair_element(3).monomials
-        assert tideal._lies_in_base(m, frozenset(heavy), tailed) == inside
-
-    def test_base_relation_instances_are_never_evaluated(self, monkeypatch):
-        # [[x1, x2], [x3, x4]] sits below the root of (a) and has two
-        # compound children
-        def no_evaluation(*args):
-            raise AssertionError("an instance was evaluated")
-
-        monkeypatch.setattr(tideal, "Evaluator", no_evaluation)
-        for md in canonical_multidegrees(1, 6):
-            assert not list(tideal._consequence_vectors(
-                BASE_SET, md, word_index(md), modulo_base=True))
-
-
 def renamed(space, renaming, md2):
     """The image of a subspace under the renaming x_i -> x_renaming[i], in
     the frame of md2, the renamed multidegree."""
@@ -1038,11 +985,14 @@ class TestIndependence:
 
     @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_extended_span_is_the_whole_family(self, n):
-        # "without" plus every instance vector of the n-th member
-        ech = tideal._word_pair_without(n)
-        without = GF2Subspace(ech)
+        # "without", the base quotient, plus every instance vector of the
+        # n-th member
         w = word_pair_element(n)
         md = w.multidegree()
+        without = base_consequences(md)
+        ech = Echelon(without.index)
+        for vec in without.basis_vectors():
+            ech.insert(vec)
         member = GeneratorSet((Generator(f"wp{n}", w),))
         for vec in tideal._consequence_vectors(member, md, ech.index):
             ech.insert(vec)
@@ -1051,6 +1001,8 @@ class TestIndependence:
                                                   for k in range(3, md.total + 1)])
         assert with_n == consequences(family, md)
         assert without.subset(with_n) and without != with_n
+        # the family spans T(a) plus the n-th member itself
+        assert with_n.dim == without.dim + 1
         vec = expansion_vector(ech.index, w)
         rep = word_pair_independence(n)
         assert rep.in_span_without == without.contains(vec)
