@@ -21,6 +21,7 @@ from lieid.lie_core import (
     MultiDeg,
     as_poly,
     assoc_expand,
+    bracket,
     commutator,
     leaf,
     pair,
@@ -885,6 +886,96 @@ class TestFastPaths:
         rows = [set(cons.index.support(v)) for v in cons.basis_vectors()]
         assert naive_rank(ref) == cons.dim, md
         assert naive_rank(rows + ref) == cons.dim, md
+
+
+MODULO_BASE_SETS = {
+    "theorem": lambda: theorem_generators(6),
+    "word_pairs": _word_pair_family,
+    "renamed_base": lambda: load_generator_file(
+        str(Path(__file__).parent / "data" / "gens_renamed_base.txt")),
+}
+
+
+def _left_normed(a, letters):
+    for i in letters:
+        a = bracket(a, leaf(i))
+    return a
+
+
+class TestModuloBase:
+    """Consequence spans and word-pair instances modulo
+    T(a) = base_consequences."""
+
+    @pytest.mark.parametrize("name", sorted(MODULO_BASE_SETS))
+    def test_equals_every_instance_vector(self, name):
+        # T(a) extended by every instance vector of gens is the union's
+        # consequence span, the span word_pair_independence builds for one
+        # member
+        gens = MODULO_BASE_SETS[name]()
+        union = GeneratorSet(BASE_SET.generators + gens.generators,
+                             gens.polarize_closure)
+        for md in canonical_multidegrees(1, 6):
+            idx = word_index(md)
+            seeded = span(idx, list(base_consequences(md).basis_vectors())
+                          + list(tideal._consequence_vectors(gens, md, idx)))
+            assert seeded == consequences(union, md), md
+
+    @pytest.mark.parametrize("heavy,tailed,inside", [
+        ((), False, False),
+        ((), True, True),      # the root is below the tail's bracket
+        ((3,), False, True),   # [[x1, x2], x3] with x3 of degree >= 2
+        ((1,), False, False),  # x2 is a letter in both [x1, x2]
+        ((1, 2), False, True),
+    ])
+    def test_word_pair_member_lies_in_base(self, heavy, tailed, inside,
+                                           degree_cap_guard):
+        # the 3rd member with x_i -> [x_i, x4] for i in heavy, then
+        # bracketed with x4 when tailed; inside, every such instance lies
+        # in T(a) (steps 3 and 4 of word_pair_independence's proof), and
+        # outside, this one is a witness that not all of them do
+        degree_cap_guard(9)  # two heavy slots reach total 9
+        w = word_pair_element(3)
+        p = substitute(w, {i: bracket(leaf(i), leaf(4)) if i in heavy
+                           else leaf(i) for i in (1, 2, 3)})
+        if tailed:
+            p = bracket(p, leaf(4))
+        assert not assoc_expand(p).is_zero()
+        assert zero_in_quotient(p) == inside
+
+    @pytest.mark.parametrize("a,b,letters", [
+        ((1, 2), (3, 4), (5,)),
+        ((1, 2), (3, 4), (5, 6)),
+        ((1, 2), (1, 3), (4, 5)),
+    ], ids=str)
+    def test_bracket_form_is_symmetric(self, a, b, letters):
+        # steps 1 and 2 of word_pair_independence's proof: modulo T(a),
+        # B(a, b) = [[a, l3, ..., lk], b] = [a, [b, lk, ..., l3]] = B(b, a)
+        a, b = (bracket(leaf(i), leaf(j)) for i, j in (a, b))
+        form = bracket(_left_normed(a, letters), b)
+        assert not zero_in_quotient(form)
+        moved = bracket(a, _left_normed(b, reversed(letters)))
+        assert zero_in_quotient(form + moved)
+        assert zero_in_quotient(form + bracket(_left_normed(b, letters), a))
+
+    def test_base_relation_instances_are_never_evaluated(self, monkeypatch):
+        # T(a) is built in closed form, and word_pair_independence walks
+        # only the n-th member's instances on top of it
+        walked = []
+        real = tideal._instance_vectors
+
+        def recorded(L, *args):
+            walked.append(L)
+            return real(L, *args)
+
+        monkeypatch.setattr(tideal, "_instance_vectors", recorded)
+        clear_caches()
+        for md in canonical_multidegrees(1, 6):
+            base_consequences(md)
+        assert not walked
+        for n in (3, 4):
+            word_pair_independence(n)
+        base_forms = tideal._polarization_closure(as_poly(BASE_RELATION))
+        assert walked and set(walked).isdisjoint(base_forms)
 
 
 def renamed(space, renaming, md2):
