@@ -8,6 +8,7 @@ example the expression is not an identity), 2 on input or usage errors
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -367,7 +368,10 @@ def cmd_lemmas(args) -> tuple[dict, bool]:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, as each call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lieid",
         description="Free Lie algebra over GF(2): identity checking on gl2 "
@@ -450,8 +454,7 @@ def main(argv=None) -> int:
             print(f"lieid: bad {ENV_MAX_DEGREE} value {env_cap!r}",
                   file=sys.stderr)
             return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         report, ok = args.func(args)

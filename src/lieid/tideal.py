@@ -11,6 +11,7 @@ of larger degree has no substitution instance of the target multidegree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -23,7 +24,6 @@ from .gf2linalg import (
     WordIndex,
     bit_positions,
     kernel,
-    solve_in_span,
     span,
 )
 from .eval_gl2 import (
@@ -275,6 +275,35 @@ def component(md: MultiDeg, /) -> Component:
             basis.append(m)
             basis_vectors.append(vec)
     return Component(md, idx, tuple(basis), tuple(basis_vectors))
+
+
+def _witt_dim(md: MultiDeg) -> int:
+    """``component(md).dim`` by Witt's formula, with no component built:
+    (1/n) sum over d dividing every multiplicity of
+    mu(d) (n/d)! / prod (m_i/d)!, n = total(md), mu the Mobius function
+    (Reutenauer, Free Lie Algebras, 1993, Corollary 4.14).  The free Lie
+    algebra over Z is free as a module with these ranks (a Hall basis), so
+    they hold over GF(2), and expansion into the free associative algebra
+    is one-to-one (Poincare-Birkhoff-Witt), so the component has them.
+    """
+    mults = [m for _, m in md.items()]
+    total = 0
+    for d in range(1, math.gcd(*mults) + 1):
+        if any(m % d for m in mults):
+            continue
+        mobius, rest = 1, d
+        for prime in range(2, d + 1):
+            if rest % prime == 0:
+                rest //= prime
+                if rest % prime == 0:
+                    mobius = 0
+                    break
+                mobius = -mobius
+        count = math.factorial(md.total // d)
+        for m in mults:
+            count //= math.factorial(m // d)
+        total += mobius * count
+    return total // md.total
 
 
 def lie_poly_from_vector(md: MultiDeg, vec: int) -> LiePoly:
@@ -624,9 +653,10 @@ def _spin(idx: WordIndex, seeds: Iterable[int],
     ech = Echelon(idx)
     queue = [v for v in seeds if ech.insert(v)]
     for v in queue:  # the queue grows as it is read
+        bits = bit_positions(v)
         for table in tables:
             image = 0
-            for i in bit_positions(v):
+            for i in bits:
                 image |= 1 << table[i]
             if ech.insert(image):
                 queue.append(image)
@@ -656,7 +686,8 @@ def multilinear_span_check(n: int) -> SpanReport:
     at n >= 5 the raw spans differ (the identity space contains the base
     consequences), so ``equal`` compares the spans with the base-relation
     consequences, ``base_consequences`` built in closed form, adjoined to
-    both sides.
+    both sides.  Both sides are compared by their residues modulo it
+    (``_residue_span``), whose dimensions are the ``_mod_base`` fields.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -667,17 +698,10 @@ def multilinear_span_check(n: int) -> SpanReport:
     sp = _spin(idx, [expansion_vector(idx, triple_identity(n))], (swap, cycle))
     ids = identities(md)
     quotient = base_consequences(md)
-    sp_mod = span(idx, list(sp.basis_vectors()) + list(quotient.basis_vectors()))
-    ids_mod = span(idx, list(ids.basis_vectors()) + list(quotient.basis_vectors()))
-    return SpanReport(
-        n,
-        sp.dim,
-        ids.dim,
-        quotient.dim,
-        sp_mod.dim - quotient.dim,
-        ids_mod.dim - quotient.dim,
-        sp_mod == ids_mod,
-    )
+    sp_mod = _residue_span(quotient, sp.basis_vectors())
+    ids_mod = _residue_span(quotient, ids.basis_vectors())
+    return SpanReport(n, sp.dim, ids.dim, quotient.dim, sp_mod.dim,
+                      ids_mod.dim, sp_mod == ids_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -784,10 +808,42 @@ def sr_basis_identity(n: int, s: int, r: int) -> LiePoly:
     return normal_form_poly(n, labels)
 
 
+@dataclass(frozen=True)
+class _NormalFormFrame:
+    """The fixed side of ``normal_form_represent`` at 1^n: the labels,
+    and ``vectors``, their expansions followed by the rows of
+    ``base_consequences``."""
+
+    labels: tuple[tuple, ...]
+    index: WordIndex
+    vectors: tuple[int, ...]
+
+    @cached_property
+    def solver(self) -> SpanSolver:
+        return SpanSolver(self.index, self.vectors)
+
+
+@_memo
+def _normal_form_frame(md: MultiDeg, /) -> _NormalFormFrame:
+    """The frame at md = 1^n, n >= 4, built once."""
+    n = md.total
+    idx = word_index(md)
+    labels = tuple(normal_form_labels(n))
+    vectors = tuple(expansion_vector(idx, normal_form_monomial(n, lab))
+                    for lab in labels)
+    return _NormalFormFrame(labels, idx,
+                            vectors + base_consequences(md).basis_vectors())
+
+
 def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
     """Coefficients expressing p, modulo the base T-ideal, as a normal-form
     sum; raises when no representation exists.  The base T-ideal's
     component is ``base_consequences``, built in closed form.
+
+    p is solved in the greedily independent prefix of the label expansions
+    followed by the base rows, the same vectors in the same order at every
+    call, so one solver per multidegree (``_normal_form_frame``) gives
+    every answer.
 
     The zero polynomial yields the empty coefficient set.
     """
@@ -801,26 +857,25 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
         raise ValueError(
             "normal-form representation needs multidegree (1,...,1) with n >= 4"
         )
-    idx = word_index(md)
-    labels = normal_form_labels(n)
-    vectors = [expansion_vector(idx, normal_form_monomial(n, lab)) for lab in labels]
-    quotient = base_consequences(md)
-    vectors.extend(quotient.basis_vectors())
-    sol = solve_in_span(idx, vectors, idx.vector(expansion.words))
+    frame = _normal_form_frame(md)
+    sol = frame.solver.solve(frame.index.vector(expansion.words))
     if sol is None:
         raise RuntimeError(
             "no normal-form representation exists for the given element"
         )
+    labels = frame.labels
     return frozenset(labels[i] for i in sol if i < len(labels))
 
 
 # ---------------------------------------------------------------------------
 # the quotient by the base relation
 
-def _derived_brackets(mu: MultiDeg, fillers: _Fillers) -> Iterator[AssocPoly]:
-    """Expansions of the brackets [p, q], p and q in ``Component.basis`` at
-    ν1 and ν2 with ν1 + ν2 = mu and |ν1|, |ν2| >= 2, each unordered pair
-    {p, q} once, the expanded bases coming from ``fillers``.
+def _derived_brackets(mu: MultiDeg, fillers: _Fillers
+                      ) -> Iterator[tuple[AssocPoly, AssocPoly]]:
+    """The expansions (p, q) of the factors of the brackets [p, q], p and q
+    in ``Component.basis`` at ν1 and ν2 with ν1 + ν2 = mu and
+    |ν1|, |ν2| >= 2, each unordered pair {p, q} once, the expanded bases
+    coming from ``fillers``.
 
     They span the mu-part of L'' = [L', L'], where L' = L_{>=2}.  L' is the
     sum of its components, each spanned by its basis, and the bracket is
@@ -829,15 +884,15 @@ def _derived_brackets(mu: MultiDeg, fillers: _Fillers) -> Iterator[AssocPoly]:
     distinct elements spans the same space.
     """
     for nu1 in mu.sub_multidegrees():
-        nu2 = mu - nu1
-        if nu1.total < 2 or nu2.total < 2:
+        if nu1.total < 2 or mu.total - nu1.total < 2:
             continue
+        nu2 = mu - nu1
         if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
             continue
         seconds = fillers.basis(nu2)
         for i, p in enumerate(fillers.basis(nu1)):
             for q in seconds[i + 1:] if nu2 == nu1 else seconds:
-                yield commutator(p, q)
+                yield p, q
 
 
 @_memo
@@ -875,17 +930,53 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     md, the subspace computed here.
 
     The [p, q] are ``_derived_brackets`` at md - e_l, so no component
-    above total(md) - 3 is built.
+    above total(md) - 3 is built.  Each bracket is written straight into
+    word positions: [[p, q], x_l] expands to the sum over the words u of
+    E(p) and w of E(q) of uwl + luw + wul + lwu, where E is expansion, a
+    Lie homomorphism with E([a, b]) = E(a)E(b) + E(b)E(a).  Over GF(2) a
+    word that occurs an even number of times cancels, which is what XOR
+    into the bit vector does.
     """
     idx = word_index(md)
+    position = idx.positions
     ech = Echelon(idx)
     fillers = _Fillers(md)
     for l in md.indices():
-        e_l = MultiDeg({l: 1})
-        (x_l,) = fillers.basis(e_l)
-        for pq in _derived_brackets(md - e_l, fillers):
-            ech.insert(idx.vector(commutator(pq, x_l).words))
+        x_l = (l,)
+        for p, q in _derived_brackets(md - MultiDeg({l: 1}), fillers):
+            vec = 0
+            for u in p.words:
+                for w in q.words:
+                    uw, wu = u + w, w + u
+                    vec ^= ((1 << position[uw + x_l])
+                            ^ (1 << position[x_l + uw])
+                            ^ (1 << position[wu + x_l])
+                            ^ (1 << position[x_l + wu]))
+            ech.insert(vec)
     return GF2Subspace(ech)
+
+
+def _residue_span(quotient: GF2Subspace, vectors: Iterable[int]
+                  ) -> GF2Subspace:
+    """The span of the residues of ``vectors`` modulo ``quotient``, T
+    below: the vectors reduced by T's rows.
+
+    T is in reduced row-echelon form, so each row has a 1 at its own pivot
+    and 0 at every other pivot.  ``T.reduce`` adds to v the row of each
+    pivot where v has a 1, so red(v) is v plus an element of T, with 0 at
+    every pivot; red is linear, with kernel T.  It is the projection onto
+    Z, the vectors that are 0 at T's pivots, along T: Z meets T in 0, and
+    red fixes Z.  Hence for any set A,
+
+        span(A ∪ T) = T ⊕ span(red A),
+
+    as each v is (v + red v) + red v with v + red v in T.  Applying red to
+    both sides gives span(red A) back, so span(A ∪ T) = span(B ∪ T)
+    exactly when span(red A) = span(red B), and
+    dim span(A ∪ T) = dim T + dim span(red A).  The span of the residues
+    thus compares spans modulo T without adjoining T's rows to either.
+    """
+    return span(quotient.index, (quotient.reduce(v) for v in vectors))
 
 
 def zero_in_quotient(p: PolyLike) -> bool:
@@ -998,15 +1089,17 @@ def word_pair_independence(n: int) -> IndependenceReport:
     of it.  Those vectors are inserted only until w reduces to 0.
     Membership is monotone: a span that holds w is inside the full span, so
     w lies in the full span too.  If w never reduces to 0, every vector went
-    in, and the echelon is the full span.
+    in, and the echelon is the full span.  T(a) is already in reduced
+    row-echelon form, so the echelon starts as a copy of its rows and
+    pivots.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     w = word_pair_element(n)
     md = w.multidegree()
-    ech = Echelon(word_index(md))
-    for vec in base_consequences(md).basis_vectors():
-        ech.insert(vec)
+    quotient = base_consequences(md)
+    ech = Echelon(quotient.index)
+    ech.rows, ech.pivots = list(quotient.rows), list(quotient.pivots)
     residual = ech.reduce(expansion_vector(ech.index, w))
     in_span_without = not residual
     if residual:
@@ -1038,8 +1131,29 @@ def _second_derived_vectors(md: MultiDeg) -> list[int]:
     """Expansions spanning the md-part of [[L, L], [L, L]]: the brackets of
     ``_derived_brackets``."""
     idx = word_index(md)
-    return [idx.vector(pq.words)
-            for pq in _derived_brackets(md, _Fillers(md))]
+    return [idx.vector(commutator(p, q).words)
+            for p, q in _derived_brackets(md, _Fillers(md))]
+
+
+@_memo
+def _derived_sides(md: MultiDeg, /) -> tuple[tuple[int, ...], ...]:
+    """The fixed sides of ``derived_span_check`` at md, built once: the
+    expansion vectors of the monomials whose words pass the prefix filter
+    of part 1, of those that also pass part 2's (a subset, as a sorted
+    tail has i2 <= i3), and the second derived vectors.  The kept
+    monomials are expanded by one evaluator, which shares their common
+    left-normed prefixes."""
+    idx = word_index(md)
+    expander = assoc_evaluator(md.indices())
+    part_one, part_two = [], []
+    for m, seq in zip(monomials_of(md), idx.labels):
+        if _prefix_condition(seq, sorted_tail=False):
+            vec = idx.vector(expander.monomial(m).words)
+            part_one.append(vec)
+            if _prefix_condition(seq, sorted_tail=True):
+                part_two.append(vec)
+    return (tuple(part_one), tuple(part_two),
+            tuple(_second_derived_vectors(md)))
 
 
 def _filtered_product_vectors(md: MultiDeg) -> list[int]:
@@ -1081,35 +1195,33 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     base T-ideal.  part 2: words with a fully sorted tail span it modulo the
     second derived part as well.  part 3: the filtered products span the
     second derived part, modulo the base T-ideal.  The base T-ideal's
-    component is ``base_consequences``, built in closed form.
+    component is ``base_consequences``, built in closed form, and every
+    span modulo it is read from residues (``_residue_span``): a span with
+    the base rows adjoined has dimension dim T + the residues' dimension,
+    and two such spans are equal exactly when their residue spans are.
 
     In parts 1 and 2 every spanning vector lies in the expansion of the
     component: the monomials and the brackets of the second derived part
     are Lie elements of multidegree md, and so are the base consequences.
-    That expansion has dimension ``comp.dim``, so the vectors span the
-    component exactly when their span has that dimension, which is then
-    ``dim_target``.
+    That expansion has dimension ``_witt_dim(md)``, so the vectors span
+    the component exactly when their span has that dimension, which is
+    then ``dim_target``.
     """
     if part not in (1, 2, 3):
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
     if md.total < 2:
         raise ValueError("the statements concern degrees >= 2")
-    comp = component(md)
-    idx = comp.index
-    quotient_rows = base_consequences(md).basis_vectors()
-    if part in (1, 2):
-        keep = [expansion_vector(idx, m)
-                for m, seq in zip(monomials_of(md), idx.labels)
-                if _prefix_condition(seq, sorted_tail=(part == 2))]
-        if part == 2:
-            keep.extend(_second_derived_vectors(md))
-        lhs = span(idx, keep + list(quotient_rows))
-        return DerivedSpanReport(md, part, lhs.dim == comp.dim, lhs.dim,
-                                 comp.dim)
-    keep = _filtered_product_vectors(md)
-    lhs = span(idx, keep + list(quotient_rows))
-    rhs = span(idx, _second_derived_vectors(md) + list(quotient_rows))
-    return DerivedSpanReport(md, part, lhs == rhs, lhs.dim, rhs.dim)
+    quotient = base_consequences(md)
+    part_one, part_two, second = _derived_sides(md)
+    if part == 3:
+        lhs = _residue_span(quotient, _filtered_product_vectors(md))
+        rhs = _residue_span(quotient, second)
+        return DerivedSpanReport(md, part, lhs == rhs, quotient.dim + lhs.dim,
+                                 quotient.dim + rhs.dim)
+    kept = part_one if part == 1 else part_two + second
+    dim = quotient.dim + _residue_span(quotient, kept).dim
+    target = _witt_dim(md)
+    return DerivedSpanReport(md, part, dim == target, dim, target)
 
 
 # ---------------------------------------------------------------------------

@@ -271,9 +271,12 @@ def reference_second_derived_words(md):
 # --- earlier routes of the package, kept as references ---------------------
 
 def reference_derived_span(md, part):
-    """(spans, dim_filtered, dim_target) of ``derived_span_check`` at parts
-    1 and 2 by two spans: the kept words with the extra rows, against
-    every basis vector of the component with the same rows."""
+    """(spans, dim_filtered, dim_target) of ``derived_span_check`` by two
+    spans, each with the base rows adjoined: at parts 1 and 2 the kept
+    words with the extra rows, against every basis vector of the component
+    with the same rows; at part 3 the filtered products, from
+    ``reference_filtered_product_vectors``, against the second derived
+    vectors."""
     from lieid.gf2linalg import span
     from lieid.tideal import (_prefix_condition, _second_derived_vectors,
                               base_consequences, component, expansion_vector,
@@ -281,10 +284,14 @@ def reference_derived_span(md, part):
 
     comp = component(md)
     idx = comp.index
+    extra = list(base_consequences(md).basis_vectors())
+    if part == 3:
+        lhs = span(idx, reference_filtered_product_vectors(md) + extra)
+        rhs = span(idx, _second_derived_vectors(md) + extra)
+        return lhs == rhs, lhs.dim, rhs.dim
     keep = [expansion_vector(idx, m)
             for m, seq in zip(monomials_of(md), idx.labels)
             if _prefix_condition(seq, sorted_tail=(part == 2))]
-    extra = list(base_consequences(md).basis_vectors())
     if part == 2:
         extra.extend(_second_derived_vectors(md))
     lhs = span(idx, keep + extra)

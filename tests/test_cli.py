@@ -361,3 +361,36 @@ def test_console_entry_point_runs():
     proc = run_subprocess("normalize", "x1 (x2 x3)")
     assert proc.returncode == 0
     assert "x1 (x2 x3)" in proc.stdout
+
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process; in one process a run, another
+    # command, an unknown suite and a missing argument each behave as they
+    # do in a fresh process
+    main(["normalize", "x1"])
+    capsys.readouterr()
+
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("a second parser was built")
+
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+    for argv, want_code, want_err in (
+            (["lemmas", "--run", "L1e2", "--json"], 0, ""),
+            (["identities", "--multidegree", "1,1,1,1", "--json"], 0, ""),
+            (["lemmas", "--run", "nope"], 2, "unknown lemma name"),
+            (["identities", "--json"], 2, "required: --multidegree")):
+        fresh = run_subprocess(*argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == fresh.returncode == want_code, argv
+        assert captured.err == fresh.stderr, argv
+        assert want_err in captured.err, argv
+        if want_code:
+            assert captured.out == fresh.stdout == "", argv
+        else:
+            assert strip_elapsed(json.loads(captured.out)) == strip_elapsed(
+                json.loads(fresh.stdout)), argv

@@ -137,6 +137,16 @@ class TestComponent:
                 total += mobius(d) * count
         assert component(md).dim == total // md.total
 
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(1, 7)
+        + [MultiDeg({2: 1, 4: 2, 7: 1, 9: 1}), MultiDeg({3: 2, 5: 2}),
+           MultiDeg({2: 3, 6: 3}), MultiDeg({4: 2, 9: 2, 11: 2})],
+        ids=repr,
+    )
+    def test_witt_dim_is_the_component_dimension(self, md):
+        # derived_span_check reads its target dimension from the formula
+        assert tideal._witt_dim(md) == component(md).dim
+
     @pytest.mark.parametrize("md", FIRST_LETTER_ONCE, ids=repr)
     def test_closed_form_basis_is_the_greedy_basis(self, md):
         comp = component(md)
@@ -433,6 +443,26 @@ class TestBaseConsequences:
         base_consequences(md)
         assert max(mu.total for mu in built) == md.total - 3
 
+    @pytest.mark.parametrize("md", [
+        MultiDeg({1: 3, 2: 2}), MultiDeg({1: 4, 2: 2}),
+        MultiDeg({1: 2, 2: 2, 3: 2}), MultiDeg({1: 2, 2: 4, 3: 1}),
+        MultiDeg({1: 3, 2: 3, 3: 1}),
+    ], ids=repr)
+    def test_positions_route_where_words_coincide(self, md):
+        # with letters repeated, one word can come from two pairs of words
+        # (u, w) of one bracket; it must cancel over GF(2)
+        fillers = tideal._Fillers(md)
+        repeats = 0
+        for l in md.indices():
+            for p, q in tideal._derived_brackets(md - MultiDeg({l: 1}),
+                                                 fillers):
+                words = Counter(t for u in p.words for w in q.words
+                                for t in (u + w + (l,), (l,) + u + w,
+                                          w + u + (l,), (l,) + w + u))
+                repeats += sum(c > 1 for c in words.values())
+        assert repeats or md == MultiDeg({1: 3, 2: 2})  # T(a) is 0 there
+        assert base_consequences(md) == consequences(BASE_SET, md)
+
     @pytest.mark.parametrize("n", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_word_pair_span_without_the_member(self, n):
         # the base quotient alone, against the enumeration of the base
@@ -466,6 +496,8 @@ MEMOIZED = [pytest.param(name, args, id=name) for name, args in [
     ("base_consequences", (MD5,)),
     ("word_index", (MD5,)),
     ("monomials_of", (MD5,)),
+    ("_normal_form_frame", (MD5,)),
+    ("_derived_sides", (MD5,)),
     ("_polarization_closure", (as_poly(parse("x1 x2 x1 x3")),)),
 ]]
 
@@ -581,6 +613,24 @@ class TestCoefficientCalculus:
             assert coefficient_conditions_hold(n, alpha)
             assert zero_in_quotient(normal_form_poly(n, alpha) + p)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_represent_equals_solving_over_labels_and_base_rows(self, n):
+        # the memoized frame against one solve over the same vectors
+        md = MultiDeg.multilinear(n)
+        idx = word_index(md)
+        labels = tideal.normal_form_labels(n)
+        vectors = [expansion_vector(idx, normal_form_monomial(n, lab))
+                   for lab in labels]
+        vectors += base_consequences(md).basis_vectors()
+        rows = identities(md).basis_vectors()
+        assert rows
+        for row in rows:
+            sol = solve_in_span(idx, vectors, row)
+            want = frozenset(labels[i] for i in sol if i < len(labels))
+            assert normal_form_represent(lie_poly_from_vector(md, row)) == want
+        with pytest.raises(ValueError):
+            normal_form_represent(word_pair_element(3))
+
     def test_represent_rejects_wrong_multidegree(self):
         with pytest.raises(ValueError):
             normal_form_represent(word_pair_element(3))
@@ -608,6 +658,22 @@ class TestSpanChecks:
         assert rep.equal
         assert rep.dim_span < rep.dim_identities  # raw spans differ at n >= 5
         assert rep.dim_span_mod_base == rep.dim_identities_mod_base
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_report_equals_the_adjoined_spans(self, n):
+        # every field by spans with the base rows adjoined to both sides,
+        # the three-term span from every renaming
+        md = MultiDeg.multilinear(n)
+        idx = word_index(md)
+        sp = span(idx, reference_renamed_vectors(triple_identity(n), n))
+        ids = identities(md)
+        rows = list(base_consequences(md).basis_vectors())
+        sp_mod = span(idx, list(sp.basis_vectors()) + rows)
+        ids_mod = span(idx, list(ids.basis_vectors()) + rows)
+        want = tideal.SpanReport(n, sp.dim, ids.dim, len(rows),
+                                 sp_mod.dim - len(rows),
+                                 ids_mod.dim - len(rows), sp_mod == ids_mod)
+        assert multilinear_span_check(n) == want
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_renamed_words_equal_expanded_substitutions(self, n):
@@ -1152,6 +1218,12 @@ class TestDerivedSpans:
             rep = derived_span_check(md, part)
             got = (rep.spans, rep.dim_filtered, rep.dim_target)
             assert got == reference_derived_span(md, part), (md, part)
+
+    @pytest.mark.parametrize("md", canonical_multidegrees(2, 6), ids=repr)
+    def test_part_three_matches_the_two_span_route(self, md):
+        rep = derived_span_check(md, 3)
+        got = (rep.spans, rep.dim_filtered, rep.dim_target)
+        assert got == reference_derived_span(md, 3), md
 
     @pytest.mark.parametrize("md", canonical_multidegrees(2, 6), ids=repr)
     def test_letter_pairs_match_the_sub_multidegree_scan(self, md):
