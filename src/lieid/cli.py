@@ -262,7 +262,6 @@ def _checks_normal_form() -> tuple[dict, bool]:
     for n in (4, 5):
         md = MultiDeg.multilinear(n)
         ids = tideal.identities(md)
-        idx = tideal.word_index(md)
         good = True
         for row in ids.basis_vectors():
             poly = tideal.lie_poly_from_vector(md, row)

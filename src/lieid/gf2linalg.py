@@ -17,7 +17,6 @@ __all__ = [
     "span",
     "kernel",
     "SpanSolver",
-    "solve_in_span",
     "bit_positions",
 ]
 
@@ -226,11 +225,3 @@ class SpanSolver:
             return None
         return bit_positions(residual >> self.width)
 
-
-def solve_in_span(
-    index: WordIndex, vectors: Sequence[int], target: int
-) -> Optional[list[int]]:
-    """Positions i with target = XOR of vectors[i], or None when unsolvable:
-    the unique expression of the target in the greedily independent prefix
-    of the vectors (see ``SpanSolver``)."""
-    return SpanSolver(index, vectors).solve(target)

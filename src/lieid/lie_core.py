@@ -227,9 +227,6 @@ class MultiDeg:
         inner = ", ".join(f"{i}:{m}" for i, m in self._items)
         return "{" + inner + "}"
 
-    def contains(self, other: "MultiDeg") -> bool:
-        return all(self[i] >= m for i, m in other._items)
-
     def __add__(self, other: "MultiDeg") -> "MultiDeg":
         counts = dict(self._items)
         for i, m in other._items:

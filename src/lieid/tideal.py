@@ -176,25 +176,23 @@ def clear_caches() -> None:
 
 
 def _arrangements(md: MultiDeg) -> Iterator[tuple[int, ...]]:
-    """Distinct sequences with leaf multiset md, in lexicographic order."""
-    return _arranged(md.indices(), [m for _, m in md.items()], [], md.total)
-
-
-def _arranged(letters: tuple[int, ...], counts: list[int], seq: list[int],
-              total: int) -> Iterator[tuple[int, ...]]:
-    """Extend ``seq`` by every arrangement of the letters left in
-    ``counts``, letters in increasing order.  It recurses at module level,
-    as ``_fillings`` does, so no call leaves a reference cycle behind."""
-    if len(seq) == total:
+    """Distinct sequences with leaf multiset md, in lexicographic order:
+    the sorted one, then each next permutation (Knuth, TAOCP 7.2.1.2,
+    Algorithm L); () once for the empty multidegree."""
+    seq = [letter for letter, m in md.items() for _ in range(m)]
+    last = len(seq) - 1
+    while True:
         yield tuple(seq)
-        return
-    for k, letter in enumerate(letters):
-        if counts[k]:
-            counts[k] -= 1
-            seq.append(letter)
-            yield from _arranged(letters, counts, seq, total)
-            seq.pop()
-            counts[k] += 1
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]  # the tail after i, reversed
 
 
 @_memo
@@ -310,7 +308,7 @@ def lie_poly_from_vector(md: MultiDeg, vec: int) -> LiePoly:
     """A deterministic Lie polynomial whose expansion is the given vector:
     its unique expression in ``Component.basis``.
 
-    ``solve_in_span`` over every monomial gives the same expression, as it
+    A ``SpanSolver`` over every monomial gives the same expression, as it
     uses only the greedily independent ones, which are that basis.  One
     solver per component serves every vector.
     """
@@ -1086,12 +1084,11 @@ def word_pair_independence(n: int) -> IndependenceReport:
     The span with the member is T(a) extended by the member's own instance
     vectors, as the T-ideal generated by a union is the sum of the
     T-ideals generated by its parts, and so is each multidegree component
-    of it.  Those vectors are inserted only until w reduces to 0.
-    Membership is monotone: a span that holds w is inside the full span, so
-    w lies in the full span too.  If w never reduces to 0, every vector went
-    in, and the echelon is the full span.  T(a) is already in reduced
-    row-echelon form, so the echelon starts as a copy of its rows and
-    pivots.
+    of it.  Membership is read from residues modulo T(a)
+    (``_residue_span``), and the member's residues are inserted only until
+    w's residue reduces to 0.  Membership is monotone: a span that holds w
+    is inside the full span, so w lies in the full span too; if w's residue
+    never reduces to 0, every residue went in.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -1099,13 +1096,12 @@ def word_pair_independence(n: int) -> IndependenceReport:
     md = w.multidegree()
     quotient = base_consequences(md)
     ech = Echelon(quotient.index)
-    ech.rows, ech.pivots = list(quotient.rows), list(quotient.pivots)
-    residual = ech.reduce(expansion_vector(ech.index, w))
+    residual = quotient.reduce(expansion_vector(ech.index, w))
     in_span_without = not residual
     if residual:
         member = GeneratorSet((Generator(f"wp{n}", w),))
         for vec in _consequence_vectors(member, md, ech.index):
-            if ech.insert(vec):
+            if ech.insert(quotient.reduce(vec)):
                 residual = ech.reduce(residual)
                 if not residual:
                     break
@@ -1115,15 +1111,11 @@ def word_pair_independence(n: int) -> IndependenceReport:
 # ---------------------------------------------------------------------------
 # spanning sets for the derived subalgebra of the quotient
 
-def _nondecreasing(seq: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(seq, seq[1:]))
-
-
 def _prefix_condition(seq: Sequence[int], sorted_tail: bool) -> bool:
     if len(seq) < 2 or seq[0] <= seq[1]:
         return False
     if sorted_tail:
-        return _nondecreasing(seq[1:])
+        return all(a <= b for a, b in zip(seq[1:], seq[2:]))
     return len(seq) < 3 or seq[1] <= seq[2]
 
 

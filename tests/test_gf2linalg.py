@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from lieid.gf2linalg import (
     Echelon,
     GF2Subspace,
+    SpanSolver,
     WordIndex,
     bit_positions,
     kernel,
-    solve_in_span,
     span,
 )
 from lieid.lie_core import assoc_expand, word_monomial
@@ -212,7 +212,7 @@ class TestSolveInSpan:
             target = 0
             for i in chosen:
                 target ^= vectors[i]
-            sol = solve_in_span(idx, vectors, target)
+            sol = SpanSolver(idx, vectors).solve(target)
             assert sol is not None
             back = 0
             for i in sol:
@@ -221,7 +221,7 @@ class TestSolveInSpan:
 
     def test_reports_unsolvable(self):
         idx = WordIndex(tuple(range(4)))
-        assert solve_in_span(idx, [0b0011], 0b1000) is None
+        assert SpanSolver(idx, [0b0011]).solve(0b1000) is None
 
     def test_uses_only_the_greedily_independent_prefix(self):
         # lie_poly_from_vector relies on this: the solution is the unique
@@ -231,7 +231,7 @@ class TestSolveInSpan:
         for _ in range(200):
             vectors = [rng.getrandbits(8) for _ in range(rng.randint(1, 12))]
             target = rng.getrandbits(8)
-            sol = solve_in_span(idx, vectors, target)
+            sol = SpanSolver(idx, vectors).solve(target)
             if sol is None:
                 assert not span(idx, vectors).contains(target)
                 continue
@@ -242,9 +242,9 @@ class TestSolveInSpan:
     def test_vector_too_wide_rejected(self):
         idx = WordIndex((0, 1))
         with pytest.raises(ValueError):
-            solve_in_span(idx, [0b100], 0b1)
+            SpanSolver(idx, [0b100]).solve(0b1)
         with pytest.raises(ValueError):
-            solve_in_span(idx, [0b1], 0b100)
+            SpanSolver(idx, [0b1]).solve(0b100)
 
 
 @settings(max_examples=60, deadline=None)

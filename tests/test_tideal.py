@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from lieid.lie_core import (
     word_monomial,
 )
 from lieid import tideal
-from lieid.gf2linalg import Echelon, GF2Subspace, solve_in_span, span
+from lieid.gf2linalg import Echelon, GF2Subspace, SpanSolver, span
 from lieid.tideal import (
     BASE_RELATION,
     BASE_SET,
@@ -178,8 +179,15 @@ class TestComponent:
         assert seqs == distinct_permutations((1, 1, 2, 3))
 
     def test_word_index_is_all_arrangements(self):
-        md = MultiDeg({1: 2, 2: 2})
-        assert word_index(md).labels == tuple(distinct_permutations((1, 1, 2, 2)))
+        # every canonical shape up to total 7, letters that skip numbers,
+        # and the empty multidegree, whose one word is ()
+        shapes = canonical_multidegrees(1, 7) + [
+            MultiDeg({2: 1, 5: 2, 7: 1}), MultiDeg({3: 2, 4: 1}), MultiDeg({})]
+        for md in shapes:
+            leaves = tuple(l for l, m in md.items() for _ in range(m))
+            assert word_index(md).labels == tuple(
+                distinct_permutations(leaves)), md
+        assert word_index(MultiDeg({})).labels == ((),)
 
     def test_cap_guard(self, degree_cap_guard):
         degree_cap_guard(3)
@@ -204,8 +212,9 @@ class TestComponent:
         monos = monomials_of(md)
         vectors = [expansion_vector(comp.index, m) for m in monos]
         space = span(comp.index, vectors)
+        solver = SpanSolver(comp.index, vectors)
         for vec in space.basis_vectors() + identities(md).basis_vectors():
-            sol = solve_in_span(comp.index, vectors, vec)
+            sol = solver.solve(vec)
             expected = LiePoly.of(*(monos[i] for i in sol))
             assert lie_poly_from_vector(md, vec) == expected
 
@@ -357,6 +366,33 @@ class TestIdentityDigests:
     @pytest.mark.parametrize("key", SLOW_DIGESTS)
     def test_largest_identities_match_recorded_digest(self, key):
         _check_identity_digest(key)
+
+
+def _load_bench_oracle():
+    """``bench/oracle.py``, the benchmark's identity oracle: dimensions by
+    random evaluation at 2x2 matrices over GF(2^31), sharing no code or
+    data structure with lieid."""
+    path = Path(__file__).parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLE = _load_bench_oracle()
+
+
+class TestIdentityOracle:
+    """Identity dimensions against the independent oracle, non-multilinear
+    components included.  Random evaluation is one-sided: the oracle never
+    reports less than the true dimension, and one seed fixes its points."""
+
+    @pytest.mark.parametrize("md", canonical_multidegrees(1, 6) + [
+        pytest.param(md, marks=pytest.mark.slow)
+        for md in canonical_multidegrees(7, 7)], ids=str)
+    def test_identity_dim_matches_the_oracle(self, md):
+        mults = tuple(m for _, m in md.items())
+        assert BENCH_ORACLE.Oracle(1).identity_dim(mults) == identities(md).dim
 
 
 class TestTripleIdentity:
@@ -624,8 +660,9 @@ class TestCoefficientCalculus:
         vectors += base_consequences(md).basis_vectors()
         rows = identities(md).basis_vectors()
         assert rows
+        solver = SpanSolver(idx, vectors)
         for row in rows:
-            sol = solve_in_span(idx, vectors, row)
+            sol = solver.solve(row)
             want = frozenset(labels[i] for i in sol if i < len(labels))
             assert normal_form_represent(lie_poly_from_vector(md, row)) == want
         with pytest.raises(ValueError):
