@@ -84,6 +84,7 @@ __all__ = [
     "coefficient_conditions_hold",
     "sr_basis_identity",
     "normal_form_represent",
+    "normal_form_check",
     "zero_in_quotient",
     "all_linearizations",
     "tail_rewrite_difference",
@@ -211,6 +212,29 @@ def expansion_vector(idx: WordIndex, p: PolyLike) -> int:
     return idx.vector(assoc_expand(p).words)
 
 
+def _bracket_words(*factors) -> list[tuple[int, ...]]:
+    """The words of the expansion of the left-normed bracket
+    [f1, f2, ..., fk], each as often as it arises, from its factors: each
+    a letter or the words of a factor's expansion.  ``WordIndex.vector``
+    XORs them, so a word arising an even number of times cancels, as over
+    GF(2) it must.
+
+    Expansion E is a Lie homomorphism, E([a, b]) = E(a)E(b) + E(b)E(a),
+    and the product is bilinear, so E([a, b]) is the sum of the words uw
+    and wu over the words u of E(a) and w of E(b).  For letters this is the
+    closed form of [y1, ..., yn]: its 2^(n-1) words put each y_k, k >= 2,
+    at the left or the right end of the word built from y1, ..., y_(k-1)
+    (Reutenauer, Free Lie Algebras, 1993).
+    """
+    first = factors[0]
+    words = [(first,)] if isinstance(first, int) else list(first)
+    for f in factors[1:]:
+        right = ((f,),) if isinstance(f, int) else f
+        words = ([u + w for u in words for w in right]
+                 + [w + u for u in words for w in right])
+    return words
+
+
 @dataclass(frozen=True)
 class Component:
     """A multidegree-graded piece of the free Lie algebra.
@@ -234,6 +258,12 @@ class Component:
         """Expresses an expansion vector in ``basis``; built on first use."""
         return SpanSolver(self.index, self.basis_vectors)
 
+    @cached_property
+    def basis_words(self) -> tuple[list[tuple[int, ...]], ...]:
+        """The words of each element of ``basis``: the supports of
+        ``basis_vectors``; built on first use."""
+        return tuple(map(self.index.support, self.basis_vectors))
+
 
 @_memo
 def component(md: MultiDeg, /) -> Component:
@@ -242,7 +272,8 @@ def component(md: MultiDeg, /) -> Component:
 
     When the smallest letter a of md occurs once, the greedy basis is, in
     closed form, the monomials [a, y2, ..., yn] over the arrangements y of
-    md - e_a, in lex order, and no elimination is run.  Proof:
+    md - e_a, in lex order, and no elimination is run; their words come
+    from ``_bracket_words``, with no bracket tree expanded.  Proof:
 
     - They come first in ``monomials_of(md)``, as a is the smallest letter.
     - They are independent.  The expansion of [u, y] is uy + yu, so each
@@ -261,10 +292,10 @@ def component(md: MultiDeg, /) -> Component:
     idx = word_index(md)
     a, m_a = md.items()[0]
     if m_a == 1:
-        basis = tuple(word_monomial((a,) + seq)
-                      for seq in _arrangements(md - MultiDeg({a: 1})))
-        return Component(md, idx, basis,
-                         tuple(expansion_vector(idx, m) for m in basis))
+        seqs = [(a,) + seq for seq in _arrangements(md - MultiDeg({a: 1}))]
+        return Component(md, idx, tuple(map(word_monomial, seqs)),
+                         tuple(idx.vector(_bracket_words(*seq))
+                               for seq in seqs))
     ech = Echelon(idx)
     basis, basis_vectors = [], []
     for m in monomials_of(md):
@@ -565,6 +596,17 @@ def triple_identity(n: int) -> LiePoly:
     return LiePoly.of(*terms)
 
 
+def _triple_identity_words(n: int) -> list[tuple[int, ...]]:
+    """The words of the expansion of ``triple_identity(n)``, through
+    ``_bracket_words``, repeats kept."""
+    words = []
+    for partner in (2, 3, 4):
+        rest = [k for k in range(2, n + 1) if k != partner]
+        words += _bracket_words(_bracket_words(1, partner),
+                                _bracket_words(*rest))
+    return words
+
+
 def theorem_generators(maxgen: int) -> GeneratorSet:
     """The candidate generating set of the gl2 identity ideal, with the two
     infinite families cut at subscript maxgen."""
@@ -646,8 +688,8 @@ def _spin(idx: WordIndex, seeds: Iterable[int],
     powers; so V contains W.  Each inserted vector is the image of a vector
     of W under an element of G, so V lies in W.
     """
-    tables = [[idx.positions[tuple(r[k] for k in w)] for w in idx.labels]
-              for r in renamings]
+    tables = [[idx.positions[tuple(map(r.__getitem__, w))]
+               for w in idx.labels] for r in renamings]
     ech = Echelon(idx)
     queue = [v for v in seeds if ech.insert(v)]
     for v in queue:  # the queue grows as it is read
@@ -693,7 +735,7 @@ def multilinear_span_check(n: int) -> SpanReport:
     idx = word_index(md)
     swap = {k: k for k in range(1, n + 1)} | {1: 2, 2: 1}
     cycle = {k: k % n + 1 for k in range(1, n + 1)}
-    sp = _spin(idx, [expansion_vector(idx, triple_identity(n))], (swap, cycle))
+    sp = _spin(idx, [idx.vector(_triple_identity_words(n))], (swap, cycle))
     ids = identities(md)
     quotient = base_consequences(md)
     sp_mod = _residue_span(quotient, sp.basis_vectors())
@@ -718,6 +760,18 @@ def normal_form_labels(n: int) -> list[tuple]:
     return labels
 
 
+def _normal_form_letters(n: int, label: tuple
+                         ) -> tuple[list[int], tuple[int, int]]:
+    """The letters (head, tail) of ``normal_form_monomial(n, label)``."""
+    if label[0] == "a2":
+        i = label[1]
+        return [i] + [k for k in range(3, n + 1) if k != i], (2, 1)
+    if label[0] == "a":
+        i, j = label[1], label[2]
+        return [i] + [k for k in range(2, n + 1) if k not in (i, j)], (j, 1)
+    raise ValueError(f"unknown label {label!r}")
+
+
 def normal_form_monomial(n: int, label: tuple) -> LieMonomial:
     """The spanning product attached to one coefficient label.
 
@@ -725,17 +779,8 @@ def normal_form_monomial(n: int, label: tuple) -> LieMonomial:
     (x_i x2 x3 ... /i ... /j ... xn)(x_j x1), the slash marking a skipped
     index.
     """
-    if label[0] == "a2":
-        i = label[1]
-        head = [i] + [k for k in range(3, n + 1) if k != i]
-        tail = pair(leaf(2), leaf(1))
-    elif label[0] == "a":
-        i, j = label[1], label[2]
-        head = [i] + [k for k in range(2, n + 1) if k not in (i, j)]
-        tail = pair(leaf(j), leaf(1))
-    else:
-        raise ValueError(f"unknown label {label!r}")
-    return pair(word_monomial(head), tail)
+    head, tail = _normal_form_letters(n, label)
+    return pair(word_monomial(head), word_monomial(tail))
 
 
 def normal_form_poly(n: int, labels: Iterable[tuple]) -> LiePoly:
@@ -780,13 +825,11 @@ def identity_preimage_space(n: int) -> GF2Subspace:
     """Coefficient sets whose normal-form sum is a gl2 identity, computed
     from the identity kernel itself rather than from the coefficient
     conditions; the two routes must agree."""
-    labels = normal_form_labels(n)
-    frame = WordIndex(tuple(labels))
     md = MultiDeg.multilinear(n)
-    idx = word_index(md)
+    nf = _normal_form_frame(md)
+    frame = WordIndex(nf.labels)
     ids = identities(md)
-    residuals = [ids.reduce(expansion_vector(idx, normal_form_monomial(n, lab)))
-                 for lab in labels]
+    residuals = [ids.reduce(v) for v in nf.vectors[:len(nf.labels)]]
     rows_by_pos: dict[int, int] = {}
     for li, residual in enumerate(residuals):
         for pos in bit_positions(residual):
@@ -827,10 +870,13 @@ def _normal_form_frame(md: MultiDeg, /) -> _NormalFormFrame:
     n = md.total
     idx = word_index(md)
     labels = tuple(normal_form_labels(n))
-    vectors = tuple(expansion_vector(idx, normal_form_monomial(n, lab))
-                    for lab in labels)
-    return _NormalFormFrame(labels, idx,
-                            vectors + base_consequences(md).basis_vectors())
+    vectors = []
+    for lab in labels:
+        head, tail = _normal_form_letters(n, lab)
+        vectors.append(idx.vector(_bracket_words(_bracket_words(*head),
+                                                 _bracket_words(*tail))))
+    return _NormalFormFrame(labels, idx, tuple(vectors)
+                            + base_consequences(md).basis_vectors())
 
 
 def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
@@ -865,15 +911,36 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
     return frozenset(labels[i] for i in sol if i < len(labels))
 
 
+def normal_form_check(n: int, vec: int) -> bool:
+    """True when the expansion vector ``vec`` at 1^n, n >= 4, is a
+    normal-form sum modulo the base T-ideal: vec is solved over the frame
+    of ``normal_form_represent``, the chosen label vectors are added, and
+    the sum must lie in ``base_consequences``.  This is
+    ``normal_form_represent`` of the element with expansion vec followed by
+    ``zero_in_quotient`` of that element plus its normal-form sum, with no
+    Lie element built.
+    """
+    md = MultiDeg.multilinear(n)
+    frame = _normal_form_frame(md)
+    sol = frame.solver.solve(vec)
+    if sol is None:
+        return False
+    for i in sol:
+        if i < len(frame.labels):
+            vec ^= frame.vectors[i]
+    return base_consequences(md).contains(vec)
+
+
 # ---------------------------------------------------------------------------
 # the quotient by the base relation
 
-def _derived_brackets(mu: MultiDeg, fillers: _Fillers
-                      ) -> Iterator[tuple[AssocPoly, AssocPoly]]:
-    """The expansions (p, q) of the factors of the brackets [p, q], p and q
-    in ``Component.basis`` at ν1 and ν2 with ν1 + ν2 = mu and
-    |ν1|, |ν2| >= 2, each unordered pair {p, q} once, the expanded bases
-    coming from ``fillers``.
+def _derived_brackets(mu: MultiDeg
+                      ) -> Iterator[tuple[list[tuple[int, ...]],
+                                          list[tuple[int, ...]]]]:
+    """The words (p, q) of the expansions of the factors of the brackets
+    [p, q], p and q in ``Component.basis`` at ν1 and ν2 with ν1 + ν2 = mu
+    and |ν1|, |ν2| >= 2, each unordered pair {p, q} once, read from
+    ``Component.basis_words``.
 
     They span the mu-part of L'' = [L', L'], where L' = L_{>=2}.  L' is the
     sum of its components, each spanned by its basis, and the bracket is
@@ -881,14 +948,18 @@ def _derived_brackets(mu: MultiDeg, fillers: _Fillers
     [p, q] = [q, p] and [p, p] = 0, so one bracket per unordered pair of
     distinct elements spans the same space.
     """
-    for nu1 in mu.sub_multidegrees():
-        if nu1.total < 2 or mu.total - nu1.total < 2:
+    # ν1 runs over mu's sub-multidegrees, as items, in the order of
+    # ``sub_multidegrees``; a MultiDeg is built only for the ones kept
+    letters, mults = mu.indices(), [m for _, m in mu.items()]
+    for split in itertools.product(*(range(m + 1) for m in mults)):
+        if not 2 <= sum(split) <= mu.total - 2:
             continue
-        nu2 = mu - nu1
-        if nu2.items() < nu1.items():  # the pair {nu1, nu2} comes once
+        nu1 = [(l, k) for l, k in zip(letters, split) if k]
+        nu2 = [(l, m - k) for l, m, k in zip(letters, mults, split) if m > k]
+        if nu2 < nu1:  # the pair {ν1, ν2} comes once
             continue
-        seconds = fillers.basis(nu2)
-        for i, p in enumerate(fillers.basis(nu1)):
+        seconds = component(MultiDeg(nu2)).basis_words
+        for i, p in enumerate(component(MultiDeg(nu1)).basis_words):
             for q in seconds[i + 1:] if nu2 == nu1 else seconds:
                 yield p, q
 
@@ -929,28 +1000,16 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
 
     The [p, q] are ``_derived_brackets`` at md - e_l, so no component
     above total(md) - 3 is built.  Each bracket is written straight into
-    word positions: [[p, q], x_l] expands to the sum over the words u of
-    E(p) and w of E(q) of uwl + luw + wul + lwu, where E is expansion, a
-    Lie homomorphism with E([a, b]) = E(a)E(b) + E(b)E(a).  Over GF(2) a
-    word that occurs an even number of times cancels, which is what XOR
-    into the bit vector does.
+    word positions by ``_bracket_words``: [[p, q], x_l] expands to the sum
+    over the words u of E(p) and w of E(q) of uwl + luw + wul + lwu, E
+    being expansion.  Over GF(2) a word that occurs an even number of
+    times cancels, which is what XOR into the bit vector does.
     """
     idx = word_index(md)
-    position = idx.positions
     ech = Echelon(idx)
-    fillers = _Fillers(md)
     for l in md.indices():
-        x_l = (l,)
-        for p, q in _derived_brackets(md - MultiDeg({l: 1}), fillers):
-            vec = 0
-            for u in p.words:
-                for w in q.words:
-                    uw, wu = u + w, w + u
-                    vec ^= ((1 << position[uw + x_l])
-                            ^ (1 << position[x_l + uw])
-                            ^ (1 << position[wu + x_l])
-                            ^ (1 << position[x_l + wu]))
-            ech.insert(vec)
+        for p, q in _derived_brackets(md - MultiDeg({l: 1})):
+            ech.insert(idx.vector(_bracket_words(p, q, l)))
     return GF2Subspace(ech)
 
 
@@ -1123,24 +1182,22 @@ def _second_derived_vectors(md: MultiDeg) -> list[int]:
     """Expansions spanning the md-part of [[L, L], [L, L]]: the brackets of
     ``_derived_brackets``."""
     idx = word_index(md)
-    return [idx.vector(commutator(p, q).words)
-            for p, q in _derived_brackets(md, _Fillers(md))]
+    return [idx.vector(_bracket_words(p, q)) for p, q in _derived_brackets(md)]
 
 
 @_memo
 def _derived_sides(md: MultiDeg, /) -> tuple[tuple[int, ...], ...]:
     """The fixed sides of ``derived_span_check`` at md, built once: the
-    expansion vectors of the monomials whose words pass the prefix filter
-    of part 1, of those that also pass part 2's (a subset, as a sorted
-    tail has i2 <= i3), and the second derived vectors.  The kept
-    monomials are expanded by one evaluator, which shares their common
-    left-normed prefixes."""
+    expansion vectors of the left-normed monomials whose letter sequences
+    pass the prefix filter of part 1, of those that also pass part 2's (a
+    subset, as a sorted tail has i2 <= i3), and the second derived
+    vectors.  The sequences are the words of the frame, and each kept
+    monomial is expanded in closed form (``_bracket_words``)."""
     idx = word_index(md)
-    expander = assoc_evaluator(md.indices())
     part_one, part_two = [], []
-    for m, seq in zip(monomials_of(md), idx.labels):
+    for seq in idx.labels:
         if _prefix_condition(seq, sorted_tail=False):
-            vec = idx.vector(expander.monomial(m).words)
+            vec = idx.vector(_bracket_words(*seq))
             part_one.append(vec)
             if _prefix_condition(seq, sorted_tail=True):
                 part_two.append(vec)
@@ -1166,8 +1223,9 @@ def _filtered_product_vectors(md: MultiDeg) -> list[int]:
                 continue
             if seq[1] == q and seq[0] < p:
                 continue
-            prod = pair(word_monomial(seq), pair(leaf(p), leaf(q)))
-            out.append(expansion_vector(idx, prod))
+            # (x_{i1} ... x_{ik})(x_p x_q)
+            out.append(idx.vector(_bracket_words(_bracket_words(*seq),
+                                                 _bracket_words(p, q))))
     return out
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-pass; the two multi-minute extensions carry the ``slow`` marker.  Criteria
+pass; the multi-minute extension to 1^7 carries the ``slow`` marker.  Criteria
 that are lemma statements run the suites of ``lieid lemmas`` through
 ``LEMMAS``, so each statement is written once.
 """
@@ -141,12 +141,12 @@ def test_08_word_pair_members_are_independent():
         assert details["independent_3"] and details["independent_4"]
 
 
-@pytest.mark.slow
-def test_08b_word_pair_independence_at_five():
-    with criterion("8b", "word-pair independence at n=5 (slow)"):
-        rep = word_pair_independence(5)
-        assert not rep.in_span_without
-        assert rep.in_span_with
+def test_08b_word_pair_independence_at_five_and_six():
+    with criterion("8b", "word-pair independence at n=5,6"):
+        for n in (5, 6):
+            rep = word_pair_independence(n)
+            assert not rep.in_span_without, n
+            assert rep.in_span_with, n
 
 
 def test_09_linearizations_of_word_pair_elements_vanish():

@@ -226,6 +226,100 @@ class TestComponent:
             lie_poly_from_vector(md, outside)
 
 
+class TestClosedFormWords:
+    """``_bracket_words``, the closed-form expansion the lemma side writes
+    into word positions, against ``assoc_expand`` of the bracket tree."""
+
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(1, 7)
+        + [MultiDeg({2: 1, 5: 2, 7: 1}), MultiDeg({3: 3, 4: 2})],
+        ids=repr,
+    )
+    def test_left_normed_words_are_the_expansion(self, md):
+        # every arrangement; with a repeated letter some words arise twice
+        # and must cancel, as in [x1, x1] = 0
+        repeated = False
+        for seq in word_index(md).labels:
+            words = tideal._bracket_words(*seq)
+            assert len(words) == 2 ** (len(seq) - 1)
+            assert (AssocPoly.from_words(words)
+                    == assoc_expand(word_monomial(seq))), seq
+            repeated = repeated or len(set(words)) < len(words)
+        assert repeated == any(m > 1 for _, m in md.items())
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_normal_form_shapes(self, n):
+        for label in tideal.normal_form_labels(n):
+            head, tail = tideal._normal_form_letters(n, label)
+            words = tideal._bracket_words(tideal._bracket_words(*head),
+                                          tideal._bracket_words(*tail))
+            assert (AssocPoly.from_words(words)
+                    == assoc_expand(normal_form_monomial(n, label))), label
+
+    @pytest.mark.parametrize(
+        "md", [MultiDeg.multilinear(5), MultiDeg({1: 2, 2: 2, 3: 1}),
+               MultiDeg({1: 3, 2: 1, 3: 1, 4: 1})],
+        ids=repr,
+    )
+    def test_filtered_product_shapes(self, md):
+        # (x_{i1} ... x_{ik})(x_p x_q) for every arrangement and letter pair
+        for q, p in itertools.combinations(md.indices(), 2):
+            for seq in word_index(md - MultiDeg({q: 1, p: 1})).labels:
+                words = tideal._bracket_words(tideal._bracket_words(*seq),
+                                              tideal._bracket_words(p, q))
+                want = assoc_expand(pair(word_monomial(seq),
+                                         pair(leaf(p), leaf(q))))
+                assert AssocPoly.from_words(words) == want, (seq, p, q)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_triple_identity_shape(self, n):
+        assert (AssocPoly.from_words(tideal._triple_identity_words(n))
+                == assoc_expand(triple_identity(n)))
+
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(2, 5) + [MultiDeg.multilinear(6)],
+        ids=repr,
+    )
+    def test_derived_sides_are_the_expanded_vectors(self, md):
+        # the monomials and the brackets of basis elements, each expanded
+        # by expansion_vector, in the order of the route they replace
+        idx = word_index(md)
+        one, two = [], []
+        for m, seq in zip(monomials_of(md), idx.labels):
+            if tideal._prefix_condition(seq, sorted_tail=False):
+                one.append(expansion_vector(idx, m))
+                if tideal._prefix_condition(seq, sorted_tail=True):
+                    two.append(expansion_vector(idx, m))
+        second = []
+        for nu1 in md.sub_multidegrees():
+            nu2 = md - nu1
+            if min(nu1.total, nu2.total) < 2 or nu2.items() < nu1.items():
+                continue
+            firsts, seconds = component(nu1).basis, component(nu2).basis
+            for i, p in enumerate(firsts):
+                for q in seconds[i + 1:] if nu1 == nu2 else seconds:
+                    second.append(expansion_vector(idx, pair(p, q)))
+        assert tideal._derived_sides(md) == (tuple(one), tuple(two),
+                                             tuple(second))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_normal_form_frame_is_the_expanded_labels(self, n):
+        md = MultiDeg.multilinear(n)
+        idx = word_index(md)
+        frame = tideal._normal_form_frame(md)
+        labels = tuple(tideal.normal_form_labels(n))
+        assert frame.labels == labels
+        assert frame.vectors == tuple(
+            expansion_vector(idx, normal_form_monomial(n, lab))
+            for lab in labels) + base_consequences(md).basis_vectors()
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_spin_seed_is_the_expanded_triple_identity(self, n):
+        idx = word_index(MultiDeg.multilinear(n))
+        assert (idx.vector(tideal._triple_identity_words(n))
+                == expansion_vector(idx, triple_identity(n)))
+
+
 class TestConsequences:
     def test_contains_generator_instance(self):
         md = MultiDeg.multilinear(5)
@@ -487,14 +581,13 @@ class TestBaseConsequences:
     def test_positions_route_where_words_coincide(self, md):
         # with letters repeated, one word can come from two pairs of words
         # (u, w) of one bracket; it must cancel over GF(2)
-        fillers = tideal._Fillers(md)
         repeats = 0
         for l in md.indices():
-            for p, q in tideal._derived_brackets(md - MultiDeg({l: 1}),
-                                                 fillers):
-                words = Counter(t for u in p.words for w in q.words
+            for p, q in tideal._derived_brackets(md - MultiDeg({l: 1})):
+                words = Counter(t for u in p for w in q
                                 for t in (u + w + (l,), (l,) + u + w,
                                           w + u + (l,), (l,) + w + u))
+                assert words == Counter(tideal._bracket_words(p, q, l))
                 repeats += sum(c > 1 for c in words.values())
         assert repeats or md == MultiDeg({1: 3, 2: 2})  # T(a) is 0 there
         assert base_consequences(md) == consequences(BASE_SET, md)
@@ -667,6 +760,26 @@ class TestCoefficientCalculus:
             assert normal_form_represent(lie_poly_from_vector(md, row)) == want
         with pytest.raises(ValueError):
             normal_form_represent(word_pair_element(3))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_vector_check_equals_the_polynomial_round_trip(self, n):
+        # identity rows and component basis vectors, some of which have no
+        # normal-form representation
+        md = MultiDeg.multilinear(n)
+        vectors = (identities(md).basis_vectors()
+                   + component(md).basis_vectors[:40])
+        verdicts = set()
+        for vec in vectors:
+            poly = lie_poly_from_vector(md, vec)
+            try:
+                alpha = normal_form_represent(poly)
+            except RuntimeError:
+                want = False
+            else:
+                want = zero_in_quotient(normal_form_poly(n, alpha) + poly)
+            assert tideal.normal_form_check(n, vec) == want
+            verdicts.add(want)
+        assert verdicts == {False, True}
 
     def test_represent_rejects_wrong_multidegree(self):
         with pytest.raises(ValueError):
@@ -1276,10 +1389,9 @@ class TestBatchRelease:
         "run",
         [
             lambda: check_generation(MultiDeg.multilinear(6)),
-            lambda: base_consequences(MultiDeg.multilinear(6)),
             lambda: word_pair_independence(3),
         ],
-        ids=["check_generation", "base_consequences", "word_pair_independence"],
+        ids=["check_generation", "word_pair_independence"],
     )
     def test_owner_and_evaluator_die_with_the_batch(self, monkeypatch, run):
         made = []
@@ -1309,6 +1421,33 @@ class TestBatchRelease:
             gc.enable()
         assert made
         assert not alive, alive
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: [base_consequences(md)
+                     for md in canonical_multidegrees(1, 6)],
+            lambda: [derived_span_check(md, part)
+                     for md in canonical_multidegrees(2, 6)
+                     for part in (1, 2, 3)],
+            lambda: [multilinear_span_check(n) for n in (4, 5, 6)],
+            lambda: [tideal.normal_form_check(n, row) for n in (4, 5)
+                     for row in identities(
+                         MultiDeg.multilinear(n)).basis_vectors()],
+        ],
+        ids=["base_consequences", "derived_span_check",
+             "multilinear_span_check", "normal_form_check"],
+    )
+    def test_lemma_side_builds_no_fillers(self, monkeypatch, run):
+        # the lemma side writes words into positions: no batch owner and
+        # no evaluator of tideal's is made
+        def refuse(*args):
+            raise AssertionError("a batch owner or evaluator was built")
+
+        monkeypatch.setattr(tideal, "_Fillers", refuse)
+        monkeypatch.setattr(tideal, "assoc_evaluator", refuse)
+        clear_caches()
+        assert run()
 
 
 class TestMultidegreeIteration:
