@@ -235,6 +235,23 @@ def _bracket_words(*factors) -> list[tuple[int, ...]]:
     return words
 
 
+def _head_words(a: int, *factors) -> list[tuple[int, ...]]:
+    """The words y, repeats kept, with a·y a word of the expansion E of
+    [f1, ..., fk], factors as in ``_bracket_words`` and a occurring once.
+    As E([u, v]) = E(u)E(v) + E(v)E(u), they are h·w·f_(j+1)...f_k, with
+    a in f_j, h such a word of f_j and w one of E([f1, ..., f_(j-1)])."""
+    j = next(j for j, f in enumerate(factors)
+             if f == a or not isinstance(f, int) and a in next(iter(f)))
+    words = [()] if factors[j] == a else [w[1:] for w in factors[j]
+                                          if w[0] == a]
+    if j:
+        words = [h + w for h in words for w in _bracket_words(*factors[:j])]
+    for f in factors[j + 1:]:
+        right = ((f,),) if isinstance(f, int) else f
+        words = [h + w for h in words for w in right]
+    return words
+
+
 @dataclass(frozen=True)
 class Component:
     """A multidegree-graded piece of the free Lie algebra.
@@ -304,6 +321,24 @@ def component(md: MultiDeg, /) -> Component:
             basis.append(m)
             basis_vectors.append(vec)
     return Component(md, idx, tuple(basis), tuple(basis_vectors))
+
+
+def _head_letter(md: MultiDeg) -> Optional[int]:
+    """The smallest letter of multiplicity 1 in md, or None."""
+    return next((l for l, m in md.items() if m == 1), None)
+
+
+@_memo
+def _basis_words(nu: MultiDeg, /) -> tuple[list[tuple[int, ...]], ...]:
+    """The words, repeats kept, of a basis of the component at nu: the
+    [b, z] over the arrangements z of nu - e_b, b = ``_head_letter(nu)``
+    (``component`` proves this for any letter of multiplicity 1), else
+    ``Component.basis_words``."""
+    b = _head_letter(nu)
+    if b is None:
+        return component(nu).basis_words
+    return tuple(_bracket_words(b, *z)
+                 for z in _arrangements(nu - MultiDeg({b: 1})))
 
 
 def _witt_dim(md: MultiDeg) -> int:
@@ -714,32 +749,40 @@ class SpanReport:
     equal: bool
 
 
-def multilinear_span_check(n: int) -> SpanReport:
-    """Span of the permuted three-term identities against the multilinear
-    identity space, modulo the base T-ideal.
+def _three_term_span(n: int) -> GF2Subspace:
+    """R of the span of every renaming of t = ``triple_identity(n)``, in
+    the head frame of x1: ``_spin`` of the R((1 i)t), i = 1, ..., n, under
+    (2 3) and (2 3 ... n), which generate the stabilizer S of x1.  Each
+    renaming σ is s(1 i) with s in S and σ(i) = 1, and s, fixing x1,
+    permutes the head words, so it commutes with R."""
+    frame, _ = _quotient(MultiDeg.multilinear(n))
+    words = _triple_identity_words(n)
+    seeds = [frame.vector([tuple(r.get(x, x) for x in w) for w in words])
+             for r in ({1: i, i: 1} for i in range(1, n + 1))]
+    swap = {k: k for k in range(2, n + 1)} | {2: 3, 3: 2}
+    cycle = {k: k + 1 if k < n else 2 for k in range(2, n + 1)}
+    return _spin(frame.index, seeds, (swap, cycle))
 
-    The span of the three-term identity under every renaming of its n
-    letters is spun (``_spin``) under (1 2) and (1 2 ... n), which generate
-    the symmetric group, rather than built from all n! renamings.
+
+def multilinear_span_check(n: int) -> SpanReport:
+    """Span of the permuted three-term identities, ``_three_term_span``,
+    against the multilinear identity space, modulo the base T-ideal; both
+    are read in the head frame of x1.
 
     The statement being checked lives in the quotient by the base relation:
     at n >= 5 the raw spans differ (the identity space contains the base
-    consequences), so ``equal`` compares the spans with the base-relation
-    consequences, ``base_consequences`` built in closed form, adjoined to
+    consequences), so ``equal`` compares the spans with T(a) adjoined to
     both sides.  Both sides are compared by their residues modulo it
     (``_residue_span``), whose dimensions are the ``_mod_base`` fields.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     md = MultiDeg.multilinear(n)
-    idx = word_index(md)
-    swap = {k: k for k in range(1, n + 1)} | {1: 2, 2: 1}
-    cycle = {k: k % n + 1 for k in range(1, n + 1)}
-    sp = _spin(idx, [idx.vector(_triple_identity_words(n))], (swap, cycle))
+    frame, quotient = _quotient(md)
+    sp = _three_term_span(n)
     ids = identities(md)
-    quotient = base_consequences(md)
     sp_mod = _residue_span(quotient, sp.basis_vectors())
-    ids_mod = _residue_span(quotient, ids.basis_vectors())
+    ids_mod = _residue_span(quotient, map(frame.restrict, ids.basis_vectors()))
     return SpanReport(n, sp.dim, ids.dim, quotient.dim, sp_mod.dim,
                       ids_mod.dim, sp_mod == ids_mod)
 
@@ -824,11 +867,13 @@ def coefficient_conditions_hold(n: int, labels: Iterable[tuple]) -> bool:
 def identity_preimage_space(n: int) -> GF2Subspace:
     """Coefficient sets whose normal-form sum is a gl2 identity, computed
     from the identity kernel itself rather than from the coefficient
-    conditions; the two routes must agree."""
+    conditions; the two routes must agree.  It is read in the head frame
+    of ``_normal_form_frame``."""
     md = MultiDeg.multilinear(n)
     nf = _normal_form_frame(md)
     frame = WordIndex(nf.labels)
-    ids = identities(md)
+    ids = span(nf.index, map(_quotient(md)[0].restrict,
+                             identities(md).basis_vectors()))
     residuals = [ids.reduce(v) for v in nf.vectors[:len(nf.labels)]]
     rows_by_pos: dict[int, int] = {}
     for li, residual in enumerate(residuals):
@@ -851,9 +896,9 @@ def sr_basis_identity(n: int, s: int, r: int) -> LiePoly:
 
 @dataclass(frozen=True)
 class _NormalFormFrame:
-    """The fixed side of ``normal_form_represent`` at 1^n: the labels,
-    and ``vectors``, their expansions followed by the rows of
-    ``base_consequences``."""
+    """The fixed side of ``normal_form_represent`` at 1^n, in the head
+    frame of x1 (``_Frame``): the labels, and ``vectors``, their
+    vectors followed by the rows of T(a)."""
 
     labels: tuple[tuple, ...]
     index: WordIndex
@@ -867,27 +912,27 @@ class _NormalFormFrame:
 @_memo
 def _normal_form_frame(md: MultiDeg, /) -> _NormalFormFrame:
     """The frame at md = 1^n, n >= 4, built once."""
-    n = md.total
-    idx = word_index(md)
-    labels = tuple(normal_form_labels(n))
+    frame, quotient = _quotient(md)
+    labels = tuple(normal_form_labels(md.total))
     vectors = []
     for lab in labels:
-        head, tail = _normal_form_letters(n, lab)
-        vectors.append(idx.vector(_bracket_words(_bracket_words(*head),
-                                                 _bracket_words(*tail))))
-    return _NormalFormFrame(labels, idx, tuple(vectors)
-                            + base_consequences(md).basis_vectors())
+        head, tail = _normal_form_letters(md.total, lab)
+        vectors.append(frame.vector(_bracket_words(*head),
+                                    _bracket_words(*tail)))
+    return _NormalFormFrame(labels, frame.index, tuple(vectors)
+                            + quotient.basis_vectors())
 
 
 def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
     """Coefficients expressing p, modulo the base T-ideal, as a normal-form
-    sum; raises when no representation exists.  The base T-ideal's
-    component is ``base_consequences``, built in closed form.
+    sum; raises when no representation exists.
 
-    p is solved in the greedily independent prefix of the label expansions
-    followed by the base rows, the same vectors in the same order at every
-    call, so one solver per multidegree (``_normal_form_frame``) gives
-    every answer.
+    p is solved in the greedily independent prefix of the label vectors
+    followed by the rows of T(a), the same vectors in the same order at
+    every call, so one solver per multidegree (``_normal_form_frame``)
+    gives every answer.  The answers are those of the word frame: R is
+    one-to-one on Lie elements, and at 1^n, where the head words come
+    first, it maps the rows of ``base_consequences`` to those of T(a).
 
     The zero polynomial yields the empty coefficient set.
     """
@@ -902,7 +947,7 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
             "normal-form representation needs multidegree (1,...,1) with n >= 4"
         )
     frame = _normal_form_frame(md)
-    sol = frame.solver.solve(frame.index.vector(expansion.words))
+    sol = frame.solver.solve(_quotient(md)[0].vector(expansion.words))
     if sol is None:
         raise RuntimeError(
             "no normal-form representation exists for the given element"
@@ -913,22 +958,29 @@ def normal_form_represent(p: PolyLike) -> frozenset[tuple]:
 
 def normal_form_check(n: int, vec: int) -> bool:
     """True when the expansion vector ``vec`` at 1^n, n >= 4, is a
-    normal-form sum modulo the base T-ideal: vec is solved over the frame
-    of ``normal_form_represent``, the chosen label vectors are added, and
-    the sum must lie in ``base_consequences``.  This is
-    ``normal_form_represent`` of the element with expansion vec followed by
-    ``zero_in_quotient`` of that element plus its normal-form sum, with no
-    Lie element built.
+    normal-form sum modulo the base T-ideal: R(vec) is solved over the
+    frame of ``normal_form_represent``, the chosen label vectors are added,
+    and the sum must lie in T(a).  This is ``normal_form_represent`` of the
+    element with expansion vec followed by ``zero_in_quotient`` of that
+    element plus its normal-form sum, with no Lie element built.  A vector
+    outside the component is no such sum, and R is one-to-one only on the
+    component, so vec must first lift back from R(vec).
     """
     md = MultiDeg.multilinear(n)
-    frame = _normal_form_frame(md)
-    sol = frame.solver.solve(vec)
+    if vec < 0 or vec >> word_index(md).size:
+        raise ValueError("vector does not fit the index length")
+    frame, quotient = _quotient(md)
+    head = frame.restrict(vec)
+    if frame.lift(head) != vec:
+        return False
+    nf = _normal_form_frame(md)
+    sol = nf.solver.solve(head)
     if sol is None:
         return False
     for i in sol:
-        if i < len(frame.labels):
-            vec ^= frame.vectors[i]
-    return base_consequences(md).contains(vec)
+        if i < len(nf.labels):
+            head ^= nf.vectors[i]
+    return quotient.contains(head)
 
 
 # ---------------------------------------------------------------------------
@@ -938,9 +990,9 @@ def _derived_brackets(mu: MultiDeg
                       ) -> Iterator[tuple[list[tuple[int, ...]],
                                           list[tuple[int, ...]]]]:
     """The words (p, q) of the expansions of the factors of the brackets
-    [p, q], p and q in ``Component.basis`` at ν1 and ν2 with ν1 + ν2 = mu
-    and |ν1|, |ν2| >= 2, each unordered pair {p, q} once, read from
-    ``Component.basis_words``.
+    [p, q], p and q in bases of the components at ν1 and ν2 with
+    ν1 + ν2 = mu and |ν1|, |ν2| >= 2, each unordered pair {p, q} once, read
+    from ``_basis_words``.
 
     They span the mu-part of L'' = [L', L'], where L' = L_{>=2}.  L' is the
     sum of its components, each spanned by its basis, and the bracket is
@@ -958,8 +1010,8 @@ def _derived_brackets(mu: MultiDeg
         nu2 = [(l, m - k) for l, m, k in zip(letters, mults, split) if m > k]
         if nu2 < nu1:  # the pair {ν1, ν2} comes once
             continue
-        seconds = component(MultiDeg(nu2)).basis_words
-        for i, p in enumerate(component(MultiDeg(nu1)).basis_words):
+        seconds = _basis_words(MultiDeg(nu2))
+        for i, p in enumerate(_basis_words(MultiDeg(nu1))):
             for q in seconds[i + 1:] if nu2 == nu1 else seconds:
                 yield p, q
 
@@ -967,10 +1019,10 @@ def _derived_brackets(mu: MultiDeg
 @_memo
 def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     """The md-component of the T-ideal of the base relation
-    (a) = [[x1, x2], [x3, x4], x5], the same subspace as
+    (a) = [[x1, x2], [x3, x4], x5] in words, the same subspace as
     ``consequences(BASE_SET, md)``, built in closed form: the span of the
-    brackets [[p, q], x_l] over the letters l of md, with p and q in
-    ``Component.basis`` at multidegrees ν1 and ν2, where |ν1|, |ν2| >= 2
+    brackets [[p, q], x_l] over the letters l of md, with p and q in bases
+    of the components at multidegrees ν1 and ν2, where |ν1|, |ν2| >= 2
     and ν1 + ν2 = md - e_l.
 
     Write L for the free Lie algebra, L' = L_{>=2}, which is [L, L], and
@@ -998,19 +1050,91 @@ def base_consequences(md: MultiDeg, /) -> GF2Subspace:
     polarization closure is (a) itself and the enumerated span is T(a) at
     md, the subspace computed here.
 
-    The [p, q] are ``_derived_brackets`` at md - e_l, so no component
-    above total(md) - 3 is built.  Each bracket is written straight into
-    word positions by ``_bracket_words``: [[p, q], x_l] expands to the sum
-    over the words u of E(p) and w of E(q) of uwl + luw + wul + lwu, E
-    being expansion.  Over GF(2) a word that occurs an even number of
-    times cancels, which is what XOR into the bit vector does.
+    ``_quotient`` builds this span, in the head frame where md has a
+    letter of multiplicity 1; the rows here are then the RREF of its rows
+    lifted back to words (``_Frame.lift``).
     """
-    idx = word_index(md)
-    ech = Echelon(idx)
+    frame, quotient = _quotient(md)
+    if frame.head is None:
+        return quotient
+    return span(word_index(md), map(frame.lift, quotient.basis_vectors()))
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The coordinates the lemma side works in at md, and the map R into
+    them.  With a = ``head``, the smallest letter of multiplicity 1, they
+    are the head words a·y, labelled y as in ``word_index(md - e_a)``, and
+    R restricts to them.  R is one-to-one on the component, as its basis
+    [a, y] has a·y as the only word that begins with a (``component``), and
+    T(a) lies in it; so R keeps membership in T(a), and the dimensions and
+    inclusions of spans of Lie elements modulo T(a).  With no such letter,
+    ``head`` is None and R is the identity on ``word_index(md)``."""
+
+    md: MultiDeg
+
+    @cached_property
+    def head(self) -> Optional[int]:
+        return _head_letter(self.md)
+
+    @cached_property
+    def index(self) -> WordIndex:
+        if self.head is None:
+            return word_index(self.md)
+        return word_index(self.md - MultiDeg({self.head: 1}))
+
+    def vector(self, *factors) -> int:
+        """R of the left-normed bracket [f1, ..., fk] of multidegree md,
+        factors as in ``_bracket_words``; one factor, a word list, is read
+        as a Lie element's expansion."""
+        if self.head is None:
+            return self.index.vector(_bracket_words(*factors))
+        return self.index.vector(_head_words(self.head, *factors))
+
+    def restrict(self, v: int) -> int:
+        """R of a word-frame vector: in lexicographic order the words a·y
+        are one block."""
+        if self.head is None:
+            return v
+        return v >> self._start & (1 << self.index.size) - 1
+
+    def lift(self, h: int) -> int:
+        """The element of the component with R = h, in words: the sum of
+        the E([a, y]) over the y at the set bits of h."""
+        if self.head is None:
+            return h
+        v = 0
+        for k in bit_positions(h):
+            v ^= self._lifts[k]
+        return v
+
+    @cached_property
+    def _start(self) -> int:
+        return word_index(self.md).positions[(self.head,)
+                                             + self.index.labels[0]]
+
+    @cached_property
+    def _lifts(self) -> tuple[int, ...]:
+        idx = word_index(self.md)
+        return tuple(idx.vector(_bracket_words(self.head, *y))
+                     for y in self.index.labels)
+
+
+@_memo
+def _quotient(md: MultiDeg, /) -> tuple[_Frame, GF2Subspace]:
+    """The frame of md and R(T(a)) in it, built once: the span of the
+    [[p, q], x_l] of ``base_consequences``, the [p, q] from
+    ``_derived_brackets`` at md - e_l, so no basis above total(md) - 3 is
+    built.  Each is written straight into positions by ``_Frame.vector``:
+    uwl + luw + wul + lwu over the words u of p and w of q in words;
+    a·E([p, q]) if l = a, else R(p)·E(q)·l, p the factor holding a, in the
+    head frame.  XOR cancels a word that occurs an even number of times."""
+    frame = _Frame(md)
+    ech = Echelon(frame.index)
     for l in md.indices():
         for p, q in _derived_brackets(md - MultiDeg({l: 1})):
-            ech.insert(idx.vector(_bracket_words(p, q, l)))
-    return GF2Subspace(ech)
+            ech.insert(frame.vector(p, q, l))
+    return frame, GF2Subspace(ech)
 
 
 def _residue_span(quotient: GF2Subspace, vectors: Iterable[int]
@@ -1038,8 +1162,8 @@ def _residue_span(quotient: GF2Subspace, vectors: Iterable[int]
 
 def zero_in_quotient(p: PolyLike) -> bool:
     """True when p lies in the T-ideal generated by the base relation, that
-    is, p = 0 in the quotient algebra; the quotient's component is
-    ``base_consequences(md)``, built in closed form."""
+    is, p = 0 in the quotient algebra: R(p) lies in T(a), read in the
+    frame of ``_quotient(md)``."""
     pp = as_poly(p)
     if pp.is_formal_zero():
         return True
@@ -1050,9 +1174,8 @@ def zero_in_quotient(p: PolyLike) -> bool:
     expansion = assoc_expand(pp)
     if expansion.is_zero():
         return True
-    md = pp.multidegree()
-    quotient = base_consequences(md)
-    return quotient.contains(word_index(md).vector(expansion.words))
+    frame, quotient = _quotient(pp.multidegree())
+    return quotient.contains(frame.vector(expansion.words))
 
 
 def all_linearizations(p: PolyLike) -> list[LiePoly]:
@@ -1143,24 +1266,25 @@ def word_pair_independence(n: int) -> IndependenceReport:
     The span with the member is T(a) extended by the member's own instance
     vectors, as the T-ideal generated by a union is the sum of the
     T-ideals generated by its parts, and so is each multidegree component
-    of it.  Membership is read from residues modulo T(a)
-    (``_residue_span``), and the member's residues are inserted only until
-    w's residue reduces to 0.  Membership is monotone: a span that holds w
-    is inside the full span, so w lies in the full span too; if w's residue
-    never reduces to 0, every residue went in.
+    of it.  Membership is read in the head frame of x3 (``_Frame``), where
+    the member's instance vectors, written in words, are restricted, from
+    residues modulo T(a) (``_residue_span``), and the member's residues are
+    inserted only until w's residue reduces to 0.  Membership is monotone:
+    a span that holds w is inside the full span, so w lies in the full span
+    too; if w's residue never reduces to 0, every residue went in.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     w = word_pair_element(n)
     md = w.multidegree()
-    quotient = base_consequences(md)
-    ech = Echelon(quotient.index)
-    residual = quotient.reduce(expansion_vector(ech.index, w))
+    frame, quotient = _quotient(md)
+    ech = Echelon(frame.index)
+    residual = quotient.reduce(frame.vector(assoc_expand(w).words))
     in_span_without = not residual
     if residual:
         member = GeneratorSet((Generator(f"wp{n}", w),))
-        for vec in _consequence_vectors(member, md, ech.index):
-            if ech.insert(quotient.reduce(vec)):
+        for vec in _consequence_vectors(member, md, word_index(md)):
+            if ech.insert(quotient.reduce(frame.restrict(vec))):
                 residual = ech.reduce(residual)
                 if not residual:
                     break
@@ -1178,38 +1302,32 @@ def _prefix_condition(seq: Sequence[int], sorted_tail: bool) -> bool:
     return len(seq) < 3 or seq[1] <= seq[2]
 
 
-def _second_derived_vectors(md: MultiDeg) -> list[int]:
-    """Expansions spanning the md-part of [[L, L], [L, L]]: the brackets of
-    ``_derived_brackets``."""
-    idx = word_index(md)
-    return [idx.vector(_bracket_words(p, q)) for p, q in _derived_brackets(md)]
-
-
 @_memo
 def _derived_sides(md: MultiDeg, /) -> tuple[tuple[int, ...], ...]:
-    """The fixed sides of ``derived_span_check`` at md, built once: the
-    expansion vectors of the left-normed monomials whose letter sequences
-    pass the prefix filter of part 1, of those that also pass part 2's (a
-    subset, as a sorted tail has i2 <= i3), and the second derived
-    vectors.  The sequences are the words of the frame, and each kept
-    monomial is expanded in closed form (``_bracket_words``)."""
-    idx = word_index(md)
+    """The fixed sides of ``derived_span_check`` at md, built once, in the
+    frame of ``_quotient(md)``: the vectors of the left-normed monomials
+    whose letter sequences pass the prefix filter of part 1, of those that
+    also pass part 2's (a subset, as a sorted tail has i2 <= i3), and of
+    the brackets of ``_derived_brackets``, which span the md-part of
+    [[L, L], [L, L]].  Each is written in closed form
+    (``_Frame.vector``)."""
+    frame, _ = _quotient(md)
     part_one, part_two = [], []
-    for seq in idx.labels:
+    for seq in _arrangements(md):
         if _prefix_condition(seq, sorted_tail=False):
-            vec = idx.vector(_bracket_words(*seq))
+            vec = frame.vector(*seq)
             part_one.append(vec)
             if _prefix_condition(seq, sorted_tail=True):
                 part_two.append(vec)
     return (tuple(part_one), tuple(part_two),
-            tuple(_second_derived_vectors(md)))
+            tuple(frame.vector(p, q) for p, q in _derived_brackets(md)))
 
 
 def _filtered_product_vectors(md: MultiDeg) -> list[int]:
     """Products (x_{i1}...x_{ik})(x_p x_q) passing the ordering filter:
     prefix i1 > i2 <= i3 <= ... <= ik, p > q, q <= i3 for k >= 3, i2 >= q,
-    and i1 >= p when i2 = q."""
-    idx = word_index(md)
+    and i1 >= p when i2 = q; in the frame of ``_quotient(md)``."""
+    frame, _ = _quotient(md)
     out: list[int] = []
     if md.total < 4:
         return out
@@ -1224,8 +1342,8 @@ def _filtered_product_vectors(md: MultiDeg) -> list[int]:
             if seq[1] == q and seq[0] < p:
                 continue
             # (x_{i1} ... x_{ik})(x_p x_q)
-            out.append(idx.vector(_bracket_words(_bracket_words(*seq),
-                                                 _bracket_words(p, q))))
+            out.append(frame.vector(_bracket_words(*seq),
+                                    _bracket_words(p, q)))
     return out
 
 
@@ -1244,24 +1362,24 @@ def derived_span_check(md: MultiDeg, part: int) -> DerivedSpanReport:
     part 1: words with i1 > i2 <= i3 span the whole component, modulo the
     base T-ideal.  part 2: words with a fully sorted tail span it modulo the
     second derived part as well.  part 3: the filtered products span the
-    second derived part, modulo the base T-ideal.  The base T-ideal's
-    component is ``base_consequences``, built in closed form, and every
-    span modulo it is read from residues (``_residue_span``): a span with
-    the base rows adjoined has dimension dim T + the residues' dimension,
-    and two such spans are equal exactly when their residue spans are.
+    second derived part, modulo the base T-ideal.  Its component T is
+    read in the frame of ``_quotient(md)``, and every span modulo it is
+    read from residues (``_residue_span``): a span with the base rows
+    adjoined has dimension dim T + the residues' dimension, and two such
+    spans are equal exactly when their residue spans are.
 
     In parts 1 and 2 every spanning vector lies in the expansion of the
     component: the monomials and the brackets of the second derived part
     are Lie elements of multidegree md, and so are the base consequences.
-    That expansion has dimension ``_witt_dim(md)``, so the vectors span
-    the component exactly when their span has that dimension, which is
-    then ``dim_target``.
+    That expansion, and its image under R, has dimension ``_witt_dim(md)``,
+    so the vectors span the component exactly when their span has that
+    dimension, which is then ``dim_target``.
     """
     if part not in (1, 2, 3):
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
     if md.total < 2:
         raise ValueError("the statements concern degrees >= 2")
-    quotient = base_consequences(md)
+    _, quotient = _quotient(md)
     part_one, part_two, second = _derived_sides(md)
     if part == 3:
         lhs = _residue_span(quotient, _filtered_product_vectors(md))

@@ -275,25 +275,27 @@ def reference_derived_span(md, part):
     spans, each with the base rows adjoined: at parts 1 and 2 the kept
     words with the extra rows, against every basis vector of the component
     with the same rows; at part 3 the filtered products, from
-    ``reference_filtered_product_vectors``, against the second derived
-    vectors."""
+    ``reference_filtered_product_vectors``, against the brackets of
+    ``_derived_brackets``, which span the second derived part, in words."""
     from lieid.gf2linalg import span
-    from lieid.tideal import (_prefix_condition, _second_derived_vectors,
-                              base_consequences, component, expansion_vector,
-                              monomials_of)
+    from lieid.tideal import (_bracket_words, _derived_brackets,
+                              _prefix_condition, base_consequences, component,
+                              expansion_vector, monomials_of)
 
     comp = component(md)
     idx = comp.index
     extra = list(base_consequences(md).basis_vectors())
+    second = [idx.vector(_bracket_words(p, q))
+              for p, q in _derived_brackets(md)]
     if part == 3:
         lhs = span(idx, reference_filtered_product_vectors(md) + extra)
-        rhs = span(idx, _second_derived_vectors(md) + extra)
+        rhs = span(idx, second + extra)
         return lhs == rhs, lhs.dim, rhs.dim
     keep = [expansion_vector(idx, m)
             for m, seq in zip(monomials_of(md), idx.labels)
             if _prefix_condition(seq, sorted_tail=(part == 2))]
     if part == 2:
-        extra.extend(_second_derived_vectors(md))
+        extra.extend(second)
     lhs = span(idx, keep + extra)
     rhs = span(idx, list(comp.basis_vectors) + extra)
     return lhs == rhs, lhs.dim, rhs.dim

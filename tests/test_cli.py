@@ -295,7 +295,7 @@ def test_json_matches_recorded_report(capsys, name):
 def test_seven_suites_enumerate_only_the_word_pair_family(capsys,
                                                          monkeypatch):
     # the quotient by the base relation is built in closed form
-    # (tideal.base_consequences), so no instance of it is enumerated
+    # (tideal._quotient), so no instance of it is enumerated
     forms = Counter()
     real = tideal._instance_vectors
 

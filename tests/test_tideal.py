@@ -282,14 +282,16 @@ class TestClosedFormWords:
     )
     def test_derived_sides_are_the_expanded_vectors(self, md):
         # the monomials and the brackets of basis elements, each expanded
-        # by expansion_vector, in the order of the route they replace
+        # by expansion_vector and restricted to the frame of _quotient, in
+        # the order of the route they replace
         idx = word_index(md)
+        restrict = tideal._quotient(md)[0].restrict
         one, two = [], []
         for m, seq in zip(monomials_of(md), idx.labels):
             if tideal._prefix_condition(seq, sorted_tail=False):
-                one.append(expansion_vector(idx, m))
+                one.append(restrict(expansion_vector(idx, m)))
                 if tideal._prefix_condition(seq, sorted_tail=True):
-                    two.append(expansion_vector(idx, m))
+                    two.append(restrict(expansion_vector(idx, m)))
         second = []
         for nu1 in md.sub_multidegrees():
             nu2 = md - nu1
@@ -298,20 +300,24 @@ class TestClosedFormWords:
             firsts, seconds = component(nu1).basis, component(nu2).basis
             for i, p in enumerate(firsts):
                 for q in seconds[i + 1:] if nu1 == nu2 else seconds:
-                    second.append(expansion_vector(idx, pair(p, q)))
+                    second.append(restrict(expansion_vector(idx, pair(p, q))))
         assert tideal._derived_sides(md) == (tuple(one), tuple(two),
                                              tuple(second))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_normal_form_frame_is_the_expanded_labels(self, n):
+        # restricted to the words that begin with x1, the first ones of the
+        # frame, the rows of base_consequences stay in RREF
         md = MultiDeg.multilinear(n)
         idx = word_index(md)
         frame = tideal._normal_form_frame(md)
+        restrict = tideal._quotient(md)[0].restrict
         labels = tuple(tideal.normal_form_labels(n))
         assert frame.labels == labels
         assert frame.vectors == tuple(
-            expansion_vector(idx, normal_form_monomial(n, lab))
-            for lab in labels) + base_consequences(md).basis_vectors()
+            restrict(expansion_vector(idx, normal_form_monomial(n, lab)))
+            for lab in labels) + tuple(
+            map(restrict, base_consequences(md).basis_vectors()))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_spin_seed_is_the_expanded_triple_identity(self, n):
@@ -559,19 +565,30 @@ class TestBaseConsequences:
         assert base_consequences(md) == consequences(BASE_SET, md)
 
     def test_components_built_only_up_to_total_minus_three(self, monkeypatch):
-        # |nu2| >= 2 and |nu3| >= 1 leave at most total - 3 to each factor
-        md = MultiDeg.multilinear(6)
-        built = []
-        real = tideal.component
+        # |nu2| >= 2 and |nu3| >= 1 leave at most total - 3 to each factor;
+        # the factors' bases come from _basis_words, which builds a
+        # component only where no letter occurs once: at (2,2,2), not at 1^6
+        built, greedy = [], []
+        real_words, real_component = tideal._basis_words, tideal.component
 
-        def counted(mu):
+        def counted_words(mu):
             built.append(mu)
-            return real(mu)
+            return real_words(mu)
 
-        monkeypatch.setattr(tideal, "component", counted)
-        clear_caches()
-        base_consequences(md)
-        assert max(mu.total for mu in built) == md.total - 3
+        def counted_component(mu):
+            greedy.append(mu)
+            return real_component(mu)
+
+        monkeypatch.setattr(tideal, "_basis_words", counted_words)
+        monkeypatch.setattr(tideal, "component", counted_component)
+        for md in (MultiDeg.multilinear(6), MultiDeg({1: 2, 2: 2, 3: 2})):
+            built.clear()
+            greedy.clear()
+            clear_caches()
+            base_consequences(md)
+            assert max(mu.total for mu in built) == md.total - 3
+            assert all(tideal._head_letter(mu) is None for mu in greedy)
+            assert bool(greedy) == (md.indices() == (1, 2, 3))
 
     @pytest.mark.parametrize("md", [
         MultiDeg({1: 3, 2: 2}), MultiDeg({1: 4, 2: 2}),
@@ -615,6 +632,48 @@ class TestBaseConsequences:
         assert consequences(member, md).subset(base_consequences(md))
 
 
+# the head letter is not x1 at these three
+OFF_HEAD = [MultiDeg({1: 2, 2: 1, 3: 2}), MultiDeg({1: 2, 2: 4, 3: 1}),
+            MultiDeg({1: 3, 2: 3, 3: 1})]
+
+
+class TestHeadFrame:
+    """The head frame of ``_Frame``, the words a·y for the smallest letter
+    a of multiplicity 1, and T(a) built in it, against the word frame."""
+
+    @pytest.mark.parametrize(
+        "md", [md for md in canonical_multidegrees(1, 7)
+               if tideal._head_letter(md) is not None] + OFF_HEAD,
+        ids=repr,
+    )
+    def test_block_is_one_to_one_on_the_component(self, md):
+        frame, idx = tideal._Frame(md), word_index(md)
+        block = [i for i, w in enumerate(idx.labels) if w[0] == frame.head]
+        assert block == list(range(block[0], block[0] + len(block)))
+        assert len(block) == tideal._witt_dim(md) == frame.index.size
+        assert [idx.labels[i][1:] for i in block] == list(frame.index.labels)
+        basis = component(md).basis_vectors
+        restricted = [frame.restrict(v) for v in basis]
+        assert restricted == [(v >> block[0]) & ((1 << len(block)) - 1)
+                              for v in basis]
+        assert span(frame.index, restricted).dim == len(basis)
+        assert [frame.lift(h) for h in restricted] == list(basis)
+
+    @pytest.mark.parametrize(
+        "md", canonical_multidegrees(1, 6) + OFF_HEAD + [
+            pytest.param(MultiDeg.multilinear(7), marks=pytest.mark.slow),
+            pytest.param(MultiDeg({1: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}),
+                         marks=pytest.mark.slow)],
+        ids=repr,
+    )
+    def test_quotient_is_the_restricted_enumeration(self, md):
+        frame, quotient = tideal._quotient(md)
+        cons = consequences(BASE_SET, md)
+        assert quotient == span(frame.index,
+                                map(frame.restrict, cons.basis_vectors()))
+        assert base_consequences(md) == cons
+
+
 MD5 = MultiDeg.multilinear(5)
 # every memoized function of tideal, with arguments for one call; the last
 # takes no multidegree, so no degree cap applies to it
@@ -627,6 +686,8 @@ MEMOIZED = [pytest.param(name, args, id=name) for name, args in [
     ("monomials_of", (MD5,)),
     ("_normal_form_frame", (MD5,)),
     ("_derived_sides", (MD5,)),
+    ("_quotient", (MD5,)),
+    ("_basis_words", (MD5,)),
     ("_polarization_closure", (as_poly(parse("x1 x2 x1 x3")),)),
 ]]
 
@@ -781,6 +842,15 @@ class TestCoefficientCalculus:
             verdicts.add(want)
         assert verdicts == {False, True}
 
+    def test_vector_check_outside_the_component(self):
+        # a single word is no Lie element; R alone would send the first to
+        # 0, which lies in T(a)
+        idx = word_index(MultiDeg.multilinear(4))
+        for word in [(2, 1, 3, 4), (1, 2, 3, 4)]:
+            assert tideal.normal_form_check(4, idx.unit(word)) is False
+        with pytest.raises(ValueError):
+            tideal.normal_form_check(4, 1 << idx.size)
+
     def test_represent_rejects_wrong_multidegree(self):
         with pytest.raises(ValueError):
             normal_form_represent(word_pair_element(3))
@@ -802,6 +872,24 @@ class TestSpanChecks:
         assert rep.dim_span == 1
         assert rep.dim_identities == 1
         assert rep.dim_base_consequences == 0
+
+    def test_multilinear_span_at_seven(self):
+        rep = multilinear_span_check(7)
+        assert rep.equal
+        assert rep.dim_identities == identities(MultiDeg.multilinear(7)).dim
+
+    @pytest.mark.parametrize("n", [4, 5, 6,
+                                   pytest.param(7, marks=pytest.mark.slow)])
+    def test_head_spin_is_the_restricted_word_spin(self, n):
+        # the coset seeds spun under the stabilizer of x1, against the
+        # word-frame spin of the seed under (1 2) and (1 2 ... n)
+        md = MultiDeg.multilinear(n)
+        idx = word_index(md)
+        spun = tideal._spin(idx, [idx.vector(tideal._triple_identity_words(n))],
+                            _generating_renamings(n))
+        frame = tideal._quotient(md)[0]
+        assert tideal._three_term_span(n) == span(
+            frame.index, map(frame.restrict, spun.basis_vectors()))
 
     def test_multilinear_span_at_five_needs_the_quotient(self):
         rep = multilinear_span_check(5)
@@ -1353,11 +1441,14 @@ class TestDerivedSpans:
 
     @pytest.mark.parametrize("md", canonical_multidegrees(4, 6), ids=repr)
     def test_pair_walk_spans_every_monomial_bracket(self, md):
-        # one bracket per unordered pair of basis elements against [m1, m2]
-        # over every ordered pair of monomials
-        got = [set(word_index(md).support(v))
-               for v in tideal._second_derived_vectors(md)]
-        ref = [set(words) for words in reference_second_derived_words(md)]
+        # one bracket per unordered pair of basis elements, in the frame of
+        # _quotient, against [m1, m2] over every ordered pair of monomials,
+        # restricted to that frame
+        frame = tideal._quotient(md)[0]
+        got = [set(frame.index.support(v))
+               for v in tideal._derived_sides(md)[2]]
+        ref = [set(frame.index.support(frame.vector(words)))
+               for words in reference_second_derived_words(md)]
         rank = naive_rank(ref)
         assert naive_rank(got) == rank == naive_rank(got + ref), md
 
@@ -1377,8 +1468,9 @@ class TestDerivedSpans:
 
     @pytest.mark.parametrize("md", canonical_multidegrees(2, 6), ids=repr)
     def test_letter_pairs_match_the_sub_multidegree_scan(self, md):
+        restrict = tideal._quotient(md)[0].restrict
         assert (tideal._filtered_product_vectors(md)
-                == reference_filtered_product_vectors(md))
+                == list(map(restrict, reference_filtered_product_vectors(md))))
 
 
 class TestBatchRelease:
